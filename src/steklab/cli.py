@@ -24,13 +24,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _curve_from_spec(spec):
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            return geometry.BoundaryCurve.from_json(fh.read())
-    return geometry.builtin_curve(spec)
-
-
 def _add_domain_args(p):
     p.add_argument("--domain", default="disk",
                    help="builtin spec (disk, ellipse:2,1, perturbed_disk:0.1,3)"
@@ -47,14 +40,14 @@ def _write_or_print(text, path):
 
 
 def cmd_solve(args):
-    curve = _curve_from_spec(args.domain)
+    curve = geometry.curve_from_spec(args.domain)
     spectrum = solve_spectrum(build_dtn(curve, args.nodes), args.count)
     _write_or_print(spectrum.to_json(), args.out)
     return EXIT_PASS
 
 
 def cmd_nodal(args):
-    curve = _curve_from_spec(args.domain)
+    curve = geometry.curve_from_spec(args.domain)
     spectrum = solve_spectrum(build_dtn(curve, args.nodes), args.index + 1)
     pair = spectrum[args.index]
     rep = nodal.boundary_zeros(
@@ -66,7 +59,7 @@ def cmd_nodal(args):
 
 
 def cmd_doubling(args):
-    curve = _curve_from_spec(args.domain)
+    curve = geometry.curve_from_spec(args.domain)
     spectrum = solve_spectrum(build_dtn(curve, args.nodes), args.index + 1)
     pair = spectrum[args.index]
     center = curve.point(np.array([args.center_t]))[0]

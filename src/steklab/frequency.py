@@ -179,6 +179,18 @@ def zero_coefficients():
 # -- circle and disk quadrature ---------------------------------------------------
 
 
+def _refine(quad, n, n_max, tol):
+    """quad(n) for n, 2n, 4n, ... until two successive values agree to
+    relative tol or n reaches n_max; returns the last value."""
+    cur = quad(n)
+    while n < n_max:
+        prev, n = cur, 2 * n
+        cur = quad(n)
+        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+            break
+    return cur
+
+
 def _circle_samples(center, r, M):
     theta = np.linspace(0.0, TWO_PI, M, endpoint=False)
     pts = center + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -192,18 +204,11 @@ def h_of_r(field, center, r, tol=_QUAD_RTOL, m_start=64, m_max=4096):
         raise ValueError("radius must be positive")
     field.require(_circle_samples(center, r, 32))
 
-    prev = None
-    M = m_start
-    while True:
-        pts = _circle_samples(center, r, M)
-        vals, _ = field(pts)
-        cur = r * (TWO_PI / M) * float(np.sum(vals**2))
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur
-        if M >= m_max:
-            return cur
-        prev = cur
-        M *= 2
+    def quad(M):
+        vals, _ = field(_circle_samples(center, r, M))
+        return r * (TWO_PI / M) * float(np.sum(vals**2))
+
+    return _refine(quad, m_start, m_max, tol)
 
 
 def _disk_quadrature(center, r, n_r, M):
@@ -218,17 +223,13 @@ def _disk_quadrature(center, r, n_r, M):
 
 
 def _disk_integral(integrand, center, r, tol=_QUAD_RTOL, n_start=24, n_max=96):
-    prev = None
-    n_r, M = n_start, max(64, 2 * n_start)
-    while True:
-        pts, w = _disk_quadrature(center, r, n_r, M)
-        cur = float(np.dot(integrand(pts), w))
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur
-        if n_r >= n_max:
-            return cur
-        prev = cur
-        n_r, M = 2 * n_r, 2 * M
+    M_start = max(64, 2 * n_start)  # angular nodes double with the radial ones
+
+    def quad(n_r):
+        pts, w = _disk_quadrature(center, r, n_r, M_start * (n_r // n_start))
+        return float(np.dot(integrand(pts), w))
+
+    return _refine(quad, n_start, n_max, tol)
 
 
 def d_of_r(field, center, r, tol=_QUAD_RTOL):

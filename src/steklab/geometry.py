@@ -8,6 +8,7 @@ The sign convention for tube offsets is s < 0 inside the domain.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,6 +348,14 @@ def builtin_curve(spec, grid_size=1024):
         eps, m = spec[15:-1].split(",")
         return perturbed_disk(float(eps), int(m), grid_size=grid_size)
     raise ValueError(f"unknown built-in curve: {spec!r}")
+
+
+def curve_from_spec(spec):
+    """The curve of a JSON file if spec is a path, else a built-in curve."""
+    if os.path.exists(spec):
+        with open(spec) as fh:
+            return BoundaryCurve.from_json(fh.read())
+    return builtin_curve(spec)
 
 
 # -- curve sampling ops ------------------------------------------------------------

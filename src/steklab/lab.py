@@ -46,10 +46,7 @@ class ExperimentConfig:
     seed: int = 42
 
     def curve(self):
-        if os.path.exists(self.domain):
-            with open(self.domain) as fh:
-                return geometry.BoundaryCurve.from_json(fh.read())
-        return geometry.builtin_curve(self.domain)
+        return geometry.curve_from_spec(self.domain)
 
     def to_json(self):
         return json.dumps(self.__dict__, sort_keys=True)

@@ -22,9 +22,34 @@ from .errors import (
     RegionError,
     UndersampledError,
 )
-from .frequency import _disk_integral
+from .frequency import _disk_integral, _refine
 
 TWO_PI = 2.0 * np.pi
+
+
+# -- root bracketing ------------------------------------------------------------------
+
+
+def _bisect(g, a, b, ga, tol):
+    """Halve the brackets [a, b] of g together; return their final ends.
+
+    The two sides are g < 0 and g >= 0; ga is g at a (or any value on a's
+    side), and each end keeps its side. Every step makes one call g(m, i) on
+    the midpoints m of the brackets still open, whose indices are i. A
+    bracket closes when it is at most tol wide or no float lies strictly
+    inside it, so tol = 0 bisects to float resolution.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    neg = np.broadcast_to(np.asarray(ga) < 0, a.shape)
+    while True:
+        m = 0.5 * (a + b)
+        i = np.flatnonzero((b - a > tol) & (a < m) & (m < b))
+        if len(i) == 0:
+            return a, b
+        m = m[i]
+        same = (g(m, i) < 0) == neg[i]
+        a[i[same]] = m[same]
+        b[i[~same]] = m[~same]
 
 
 # -- boundary zero counting ----------------------------------------------------------
@@ -91,7 +116,12 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
       part of a near-zero run, as above.
     A tangential zero between two samples that both exceed flag_rel times
     the sup is neither counted nor flagged.
+
+    Each zero is bisected until its bracket is at most tol wide, or to float
+    resolution; tol = 0 asks for the latter.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     guard = nyquist_guard(pair)
     if samples is None:
         samples = max(1024, 2 * guard)
@@ -120,22 +150,11 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
     for i in np.where(small & crossing & np.roll(crossing, 1))[0]:
         if crossing[i - 1] and crossing[i]:
             crossing[i - 1] = crossing[i] = False
-    zeros = []
-    h = TWO_PI / samples
-    for i in np.where(crossing)[0]:
-        a, b = tg[i], tg[i] + h
-        fa = f[i]
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = float(pair.trace_at([m])[0])
-            if fm == 0.0:
-                a = b = m
-                break
-            if np.sign(fm) == np.sign(fa):
-                a, fa = m, fm
-            else:
-                b = m
-        zeros.append(0.5 * (a + b) % TWO_PI)
+    i = np.flatnonzero(crossing)
+    a, b = _bisect(
+        lambda t, _: pair.trace_at(t), tg[i], tg[i] + TWO_PI / samples, f[i], tol
+    )
+    zeros = 0.5 * (a + b) % TWO_PI
 
     # near-zero grid runs without a crossing: suspected tangential zeros
     covered = crossing | np.roll(crossing, 1)
@@ -153,7 +172,7 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 
     return NodalReport(
         eigenvalue=pair.eigenvalue,
-        zeros=np.sort(np.array(zeros)),
+        zeros=np.sort(zeros),
         tol=tol,
         tangential_flags=np.array(flags),
         samples=samples,
@@ -167,39 +186,24 @@ def _ball_curve_intervals(curve, center, r, probe=8192, tol=1e-13):
     """Parameter intervals {t: |gamma(t) - center| < r}, bisected to tol."""
     center = np.asarray(center, dtype=float)
     tg = np.linspace(0.0, TWO_PI, probe, endpoint=False)
-    g = np.linalg.norm(curve.point(tg) - center, axis=1) - r
+
+    def dist(t, _=None):
+        return np.linalg.norm(curve.point(t) - center, axis=1) - r
+
+    g = dist(tg)
     if np.all(g < 0):
         return [(0.0, TWO_PI)]
     if np.all(g >= 0):
         return []
 
-    def refine(a, b, ga):
-        # ga < 0 means 'a side inside'
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            gm = float(np.linalg.norm(curve.point(np.array([m]))[0] - center) - r)
-            if (gm < 0) == (ga < 0):
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    h = TWO_PI / probe
-    edges = []
-    for i in range(probe):
-        j = (i + 1) % probe
-        if (g[i] < 0) != (g[j] < 0):
-            t_edge = refine(tg[i], tg[i] + h, g[i])
-            edges.append((t_edge, "exit" if g[i] < 0 else "enter"))
-    intervals = []
-    edges.sort()
-    # rotate so the list starts with an entry edge
-    while edges[0][1] != "enter":
-        t, kind = edges.pop(0)
-        edges.append((t + TWO_PI, kind))
-    for k in range(0, len(edges), 2):
-        intervals.append((edges[k][0], edges[k + 1][0]))
-    return intervals
+    inside = g < 0
+    i = np.flatnonzero(inside != np.roll(inside, -1))
+    a, b = _bisect(dist, tg[i], tg[i] + TWO_PI / probe, g[i], tol)
+    edges = 0.5 * (a + b)
+    # edges alternate; rotate so the list starts with an entry edge
+    if inside[i[0]]:
+        edges = np.append(edges[1:], edges[0] + TWO_PI)
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 def _interval_mass(pair, a, b, tol=1e-11, n_start=32, n_max=512):
@@ -212,14 +216,7 @@ def _interval_mass(pair, a, b, tol=1e-11, n_start=32, n_max=512):
         sp = curve.speed(t % TWO_PI)
         return 0.5 * (b - a) * float(np.sum(wts * f**2 * sp))
 
-    prev, n = None, n_start
-    while True:
-        cur = quad(n)
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur
-        if n >= n_max:
-            return cur
-        prev, n = cur, 2 * n
+    return _refine(quad, n_start, n_max, tol)
 
 
 def boundary_mass(pair, center, r):
@@ -250,31 +247,20 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    # per-ray extent of Omega: bisection on the inside indicator
-    def inside(rho):
-        pts = center + rho[:, None] * dirs
-        _, s, _ = curve.nearest_point_many(pts)
-        return s < 0
+    # per-ray extent of Omega: bisection on the signed offset, from the
+    # center (taken as inside) to the last inside radius
+    def offset(rho, d):
+        _, s, _ = curve.nearest_point_many(center + rho[:, None] * d)
+        return s
 
-    end_inside = inside(np.full(n_theta, r))
-    active = ~end_inside
-    # vectorized bisection for the rays that cross the boundary
-    lo_a = np.zeros(int(np.sum(active)))
-    hi_a = np.full(int(np.sum(active)), r)
-    d_act = dirs[active]
-    for _ in range(50 if len(lo_a) else 0):
-        mid = 0.5 * (lo_a + hi_a)
-        pts = center + mid[:, None] * d_act
-        _, s, _ = curve.nearest_point_many(pts)
-        ins = s < 0
-        lo_a[ins] = mid[ins]
-        hi_a[~ins] = mid[~ins]
-    extent = np.zeros(n_theta)
-    extent[~active] = r
-    extent[active] = lo_a
+    extent = np.full(n_theta, float(r))
+    out = np.flatnonzero(~(offset(extent, dirs) < 0))
+    extent[out], _ = _bisect(
+        lambda rho, i: offset(rho, dirs[out[i]]),
+        np.zeros(len(out)), extent[out], -1.0, 1e-15 * r,
+    )
 
     nodes, wts = np.polynomial.legendre.leggauss(n_r)
-    total = 0.0
     rr = 0.5 * extent[None, :] * (nodes[:, None] + 1.0)  # (n_r, n_theta)
     w = 0.5 * extent[None, :] * wts[:, None] * rr * (TWO_PI / n_theta)
     pts = center + rr.reshape(-1)[:, None] * np.tile(dirs, (n_r, 1))
@@ -306,28 +292,15 @@ def domain_mass(pair, n_r=64, n_theta=512):
     # invert the angle map on the dense grid, then polish by bisection
     t_of_phi = np.interp(theta, phi, tg + np.where(tg < tg[0], TWO_PI, 0))
 
-    def angle_err(t, target):
-        rel = curve.point(np.atleast_1d(t))[0] - center
-        d = np.arctan2(rel[1], rel[0]) - target
+    def angle_err(t, i):
+        rel = curve.point(t) - center
+        d = np.arctan2(rel[:, 1], rel[:, 0]) - theta[i]
         return (d + np.pi) % TWO_PI - np.pi
 
-    R = np.empty(n_theta)
     h = TWO_PI / len(tg)
-    for j in range(n_theta):
-        a, b = t_of_phi[j] - h, t_of_phi[j] + h
-        ea = angle_err(a, theta[j])
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            em = angle_err(m, theta[j])
-            if em == 0.0:
-                a = b = m
-                break
-            if (em < 0) == (ea < 0):
-                a, ea = m, em
-            else:
-                b = m
-        tj = 0.5 * (a + b)
-        R[j] = np.linalg.norm(curve.point(np.atleast_1d(tj))[0] - center)
+    a = t_of_phi - h
+    a, b = _bisect(angle_err, a, t_of_phi + h, angle_err(a, np.arange(n_theta)), 0.0)
+    R = np.linalg.norm(curve.point(0.5 * (a + b)) - center, axis=1)
 
     nodes, wts = np.polynomial.legendre.leggauss(n_r)
     rr = 0.5 * R[None, :] * (nodes[:, None] + 1.0)

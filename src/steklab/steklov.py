@@ -364,11 +364,6 @@ def _pad_spectrum(spec, Nf):
     return out * (Nf / N)
 
 
-def evaluate_extension(pair, x):
-    """Value and gradient of the harmonic extension of an eigenpair at x."""
-    return pair.evaluate(x)
-
-
 @dataclass
 class SpectrumSlice:
     """Ascending Steklov eigenpairs with their discretization metadata."""
@@ -469,7 +464,8 @@ def solve_spectrum(dtn, count):
     basis is pinned (see `_pin_cluster_bases`), so the traces do not depend
     on the BLAS thread count; a cluster that `count` cuts is pinned whole
     before it is truncated. The eigenvector of a single eigenvalue is signed
-    so that its largest-magnitude sample is positive.
+    so that its largest-magnitude sample is positive. Eigenvalues below
+    1e-8, the constant mode's, are returned as exactly 0.
     """
     count = int(count)
     if count > dtn.N // 4:
@@ -488,7 +484,9 @@ def solve_spectrum(dtn, count):
     evecs = evecs[:, :count]
     if evals[0] < -1e-6:
         raise SolverError(f"spurious negative eigenvalue {evals[0]:.3e}")
-    evals = np.maximum(evals, 0.0)
+    # the constant mode's eigenvalue is round-off of either sign, a few
+    # 1e-15 that depend on the BLAS thread count
+    evals = np.where(evals < _CLUSTER_RTOL, 0.0, evals)
 
     sqw = np.sqrt(dtn.weights)
     pairs = []

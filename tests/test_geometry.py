@@ -179,6 +179,17 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             geometry.builtin_curve("dodecahedron")
 
+    def test_curve_from_spec(self, tmp_path):
+        c = geometry.perturbed_disk(0.1, 3)
+        path = tmp_path / "curve.json"
+        path.write_text(c.to_json())
+        assert geometry.curve_from_spec(str(path)).content_hash() == (
+            c.content_hash()
+        )
+        assert geometry.curve_from_spec("ellipse:2,1").content_hash() == (
+            geometry.ellipse(2.0, 1.0).content_hash()
+        )
+
     def test_perturbed_disk_radius(self):
         c = geometry.perturbed_disk(0.1, 3)
         t = np.linspace(0, 2 * np.pi, 33)

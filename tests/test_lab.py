@@ -199,6 +199,11 @@ class TestCli:
                         "--out", str(out)) == 0
         assert out.read_text().startswith("index,t,kind")
 
+    @pytest.mark.parametrize("tol", ["-1e-12", "nan", "inf"])
+    def test_nodal_bad_tol(self, tol):
+        assert self.run("nodal", "--nodes", "128", "--index", "3",
+                        f"--tol={tol}") == 2
+
     def test_doubling(self, tmp_path):
         out = tmp_path / "d.csv"
         assert self.run("doubling", "--nodes", "128", "--index", "3",

@@ -42,11 +42,13 @@ class TestBoundaryZeros:
         rep = boundary_zeros(disk_spectrum[j])
         assert rep.count == 2 * k
 
-    def test_disk_zero_locations(self, disk_spectrum):
+    # tol = 0 bisects each zero to float resolution
+    @pytest.mark.parametrize("tol", [1e-12, 0.0])
+    def test_disk_zero_locations(self, disk_spectrum, tol):
         pair = disk_spectrum[5]  # lambda = 3
         a, b, _ = disk_mode_coefficients(pair, 3)
         phi = np.arctan2(-a, b)  # a cos + b sin = 0 at (phi + m pi)/3... solve
-        rep = boundary_zeros(pair)
+        rep = boundary_zeros(pair, tol=tol)
         f = pair.trace_at(rep.zeros)
         assert np.max(np.abs(f)) < 1e-11 * np.max(np.abs(pair.trace))
         # consecutive zeros are pi/3 apart
@@ -119,6 +121,18 @@ class TestBoundaryMass:
         assert boundary_mass(pair, (0.0, 0.0), 0.5) == 0.0
 
 
+class UnitField:
+    """Stand-in eigenpair u = 1 on a curve; counts the points it evaluates."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.points = 0
+
+    def evaluate_many(self, pts):
+        self.points += len(pts)
+        return np.ones(len(pts)), np.zeros((len(pts), 2))
+
+
 class TestSolidMasses:
     def test_clipped_equals_full_when_interior(self, disk_spectrum):
         # ball fully inside the domain: clipping is inactive
@@ -141,6 +155,29 @@ class TestSolidMasses:
         # trace normalized: int_circle u^2 = 1, u = r^5 g(theta) with
         # int g^2 = 1, so int_disk u^2 = int_0^1 r^10 r dr = 1/12
         assert got == pytest.approx(1.0 / 12.0, rel=1e-8)
+
+    def test_domain_mass_is_ellipse_area(self):
+        # the disk's angle bisection ends at its first midpoint; the
+        # ellipse's runs the general path
+        assert domain_mass(UnitField(geometry.ellipse(2.0, 1.0))) == pytest.approx(
+            2.0 * np.pi, rel=1e-12
+        )
+
+    def test_clipped_ball_at_boundary_is_lens_area(self):
+        # a ball of radius r about a point of the unit circle meets the disk
+        # in a lens; the rays leaving the domain have extent 0 and no points
+        curve = geometry.disk()
+        field, r = UnitField(curve), 0.3
+        got = clipped_ball_mass(
+            field, curve.point(np.array([0.7]))[0], r, n_r=20, n_theta=96
+        )
+        want = (
+            r**2 * np.arccos(r / 2)
+            + np.arccos(1 - r**2 / 2)
+            - 0.5 * r * np.sqrt(4 - r**2)
+        )
+        assert field.points == 960
+        assert abs(got - want) < 2e-3 * want
 
     def test_solid_mass_v_positive(self, ellipse_spectrum):
         pair = ellipse_spectrum[5]

@@ -1,6 +1,7 @@
 """The disk spectrum and its boundary zero counts do not depend on the BLAS
 thread count: eigh returns a thread-dependent basis inside each degenerate
-eigenspace, which solve_spectrum replaces by a pinned one."""
+eigenspace, which solve_spectrum replaces by a pinned one. Neither does the
+constant mode's eigenvalue, which solve_spectrum returns as exactly 0."""
 
 import os
 import subprocess
@@ -30,6 +31,12 @@ np.savez(
     traces=np.array([pair.trace for pair in spectrum]),
     counts=[rep.count for rep in reports],
     flags=[len(rep.tangential_flags) for rep in reports],
+    # the constant mode at N = 256, where round-off gave it 0 at one thread
+    # count and a few 1e-15 at the other
+    lam0=[
+        solve_spectrum(build_dtn(curve, 256), 3)[0].eigenvalue
+        for curve in (geometry.disk(), geometry.ellipse(2.0, 1.0))
+    ],
 )
 """
 
@@ -53,3 +60,4 @@ def test_disk_spectrum_thread_independent(tmp_path):
     assert np.all(diff <= 1e-9 * scale)
     assert one["counts"].tolist() == two["counts"].tolist()
     assert one["flags"].tolist() == two["flags"].tolist()
+    assert one["lam0"].tolist() == two["lam0"].tolist() == [0.0, 0.0]
