@@ -13,8 +13,10 @@ of such an equation.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import warnings
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -181,14 +183,55 @@ def zero_coefficients():
 
 def _refine(quad, n, n_max, tol):
     """quad(n) for n, 2n, 4n, ... until two successive values agree to
-    relative tol or n reaches n_max; returns the last value."""
+    relative tol; returns the last value, with a RuntimeWarning giving n and
+    the last relative change if n reached n_max first."""
     cur = quad(n)
+    change = np.inf
     while n < n_max:
         prev, n = cur, 2 * n
         cur = quad(n)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            break
+        change = abs(cur - prev)
+        if change <= tol * max(abs(cur), 1e-300):
+            return cur
+    warnings.warn(
+        f"quadrature unconverged at n = {n}: last relative change "
+        f"{change / max(abs(cur), 1e-300):.3e} above tol {tol:.1e}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
     return cur
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss(n):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1]. The arrays
+    are cached and shared by every caller, so they are read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _polar_integral(integrand, center, theta, extent, n_r):
+    """Integral of integrand over {center + rho (cos t, sin t) : t in theta,
+    0 <= rho <= extent}, where extent is a scalar or one radius per ray.
+
+    Each ray carries n_r Gauss-Legendre nodes in rho and the angular weight
+    2 pi / len(theta). integrand maps (P, 2) points to P values; rays of
+    zero extent are not evaluated.
+    """
+    nodes, wts = _gauss(n_r)
+    extent = np.broadcast_to(np.asarray(extent, dtype=float), theta.shape)
+    rho = (0.5 * extent * (nodes[:, None] + 1.0)).reshape(-1)  # ray index fastest
+    w = rho * (TWO_PI / len(theta)) * (0.5 * extent * wts[:, None]).reshape(-1)
+    keep = rho > 0
+    if not np.any(keep):
+        return 0.0
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pts = center + rho[:, None] * np.tile(dirs, (n_r, 1))
+    vals = np.zeros(len(rho))
+    vals[keep] = integrand(pts[keep])
+    return float(np.sum(vals * w))
 
 
 def _circle_samples(center, r, M):
@@ -211,23 +254,12 @@ def h_of_r(field, center, r, tol=_QUAD_RTOL, m_start=64, m_max=4096):
     return _refine(quad, m_start, m_max, tol)
 
 
-def _disk_quadrature(center, r, n_r, M):
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
-    rho = 0.5 * r * (nodes + 1.0)
-    w_rho = 0.5 * r * wts
-    theta = np.linspace(0.0, TWO_PI, M, endpoint=False)
-    rr, tt = np.meshgrid(rho, theta, indexing="ij")
-    pts = center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
-    weights = (rr * (TWO_PI / M) * w_rho[:, None]).reshape(-1)
-    return pts, weights
-
-
 def _disk_integral(integrand, center, r, tol=_QUAD_RTOL, n_start=24, n_max=96):
     M_start = max(64, 2 * n_start)  # angular nodes double with the radial ones
 
     def quad(n_r):
-        pts, w = _disk_quadrature(center, r, n_r, M_start * (n_r // n_start))
-        return float(np.dot(integrand(pts), w))
+        theta = np.linspace(0.0, TWO_PI, M_start * (n_r // n_start), endpoint=False)
+        return _polar_integral(integrand, center, theta, r, n_r)
 
     return _refine(quad, n_start, n_max, tol)
 
@@ -653,10 +685,6 @@ def v_transform(pair, tube):
             out[outside] = (mu**2)[:, None, None] * TT + NN
         return out
 
-    def b_inside(x, t, s):
-        nu = curve.normal(t)
-        return 2.0 * lam * nu
-
     def c_func(x):
         t, s = locate(x)
         # c(x') = c(Psi^{-1} x'): fold the exterior onto the interior offset
@@ -665,17 +693,17 @@ def v_transform(pair, tube):
         lap_d = -kap / (1.0 - kap * d)
         return lam**2 - lam * lap_d
 
-    def b_func(x, fd_step=None):
+    def b_func(x):
         t, s = locate(x)
         out = np.empty((len(x), 2))
         inside = s <= 0
         if np.any(inside):
-            out[inside] = b_inside(x[inside], t[inside], s[inside])
+            out[inside] = 2.0 * lam * curve.normal(t[inside])
         outside = ~inside
         if np.any(outside):
             xo = x[outside]
             to, so = t[outside], s[outside]
-            h = fd_step if fd_step is not None else 1e-6 * max(delta, 1e-6)
+            h = 1e-6 * max(delta, 1e-6)
             # divergence-of-A term by central differences of the closed form
             divA = np.zeros((len(xo), 2))
             for j in range(2):

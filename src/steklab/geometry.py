@@ -127,14 +127,12 @@ class BoundaryCurve:
         n = len(pts)
         p = pts
         q = np.roll(pts, -1, axis=0)
-        # all segment pairs excluding self and neighbors
+        # every segment pair at circular index distance 2 or more; offsets
+        # above n // 2 would repeat these pairs with the segments swapped
         i = np.arange(n)
-        for off in range(2, n - 1):
+        for off in range(2, n // 2 + 1):
             j = (i + off) % n
-            mask = i < j  # avoid double-count and wrap-adjacency
-            if off == n - 1:
-                continue
-            hit = _segments_intersect(p[i[mask]], q[i[mask]], p[j[mask]], q[j[mask]])
+            hit = _segments_intersect(p[i], q[i], p[j], q[j])
             if np.any(hit):
                 raise DegenerateCurveError("curve self-intersects on the sample grid")
 
@@ -213,7 +211,7 @@ class BoundaryCurve:
 
     # -- nearest point / signed distance ---------------------------------------
 
-    def nearest_point_many(self, x, newton_steps=30):
+    def nearest_point_many(self, x):
         """Nearest-boundary-point parameters and signed offsets for points x.
 
         Returns (t, s, gap) where s = sign((x-gamma).nu) |x-gamma| (s < 0 inside)
@@ -224,7 +222,7 @@ class BoundaryCurve:
         _, idx = self._tree.query(x)
         t = self._tseed[idx].copy()
         max_step = 1.5 * self._seed_spacing
-        for _ in range(newton_steps):
+        for _ in range(30):
             g = self.point(t)
             v = self.velocity(t)
             a = self.acceleration(t)
@@ -370,10 +368,6 @@ def curve_eval(curve, t):
     return curve.point(t), curve.tangent(t), curve.normal(t), curve.curvature(t)
 
 
-def max_tube_halfwidth(curve):
-    return curve.max_tube_halfwidth()
-
-
 # -- tube neighborhood ----------------------------------------------------------------
 
 
@@ -444,14 +438,10 @@ def laplacian_of_distance(tube, x):
 
 
 def reflect_many(tube, x):
+    """Reflection y + t nu(y) -> y - t nu(y) of each point; an involution."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t, s = tube.locate_many(x)
     return tube.curve.point(t) - s[:, None] * tube.curve.normal(t)
-
-
-def reflect(tube, x):
-    """Reflection map y + t nu(y) -> y - t nu(y); an involution fixing the boundary."""
-    return reflect_many(tube, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def reflection_jacobian(tube, x, step=None):

@@ -22,9 +22,11 @@ from .errors import (
     RegionError,
     UndersampledError,
 )
-from .frequency import _disk_integral, _refine
+from .frequency import _disk_integral, _gauss, _polar_integral, _refine
 
 TWO_PI = 2.0 * np.pi
+
+_PROBE = 8192  # curve samples that locate ball edges, star angles and arclength
 
 
 # -- root bracketing ------------------------------------------------------------------
@@ -182,10 +184,10 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 # -- boundary mass -------------------------------------------------------------------
 
 
-def _ball_curve_intervals(curve, center, r, probe=8192, tol=1e-13):
-    """Parameter intervals {t: |gamma(t) - center| < r}, bisected to tol."""
+def _ball_curve_intervals(curve, center, r):
+    """Parameter intervals {t: |gamma(t) - center| < r}, bisected to 1e-13."""
     center = np.asarray(center, dtype=float)
-    tg = np.linspace(0.0, TWO_PI, probe, endpoint=False)
+    tg = np.linspace(0.0, TWO_PI, _PROBE, endpoint=False)
 
     def dist(t, _=None):
         return np.linalg.norm(curve.point(t) - center, axis=1) - r
@@ -198,7 +200,7 @@ def _ball_curve_intervals(curve, center, r, probe=8192, tol=1e-13):
 
     inside = g < 0
     i = np.flatnonzero(inside != np.roll(inside, -1))
-    a, b = _bisect(dist, tg[i], tg[i] + TWO_PI / probe, g[i], tol)
+    a, b = _bisect(dist, tg[i], tg[i] + TWO_PI / _PROBE, g[i], 1e-13)
     edges = 0.5 * (a + b)
     # edges alternate; rotate so the list starts with an entry edge
     if inside[i[0]]:
@@ -210,7 +212,7 @@ def _interval_mass(pair, a, b, tol=1e-11, n_start=32, n_max=512):
     curve = pair.curve
 
     def quad(n):
-        nodes, wts = np.polynomial.legendre.leggauss(n)
+        nodes, wts = _gauss(n)
         t = 0.5 * (b - a) * (nodes + 1.0) + a
         f = pair.trace_at(t % TWO_PI)
         sp = curve.speed(t % TWO_PI)
@@ -260,17 +262,9 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
         np.zeros(len(out)), extent[out], -1.0, 1e-15 * r,
     )
 
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
-    rr = 0.5 * extent[None, :] * (nodes[:, None] + 1.0)  # (n_r, n_theta)
-    w = 0.5 * extent[None, :] * wts[:, None] * rr * (TWO_PI / n_theta)
-    pts = center + rr.reshape(-1)[:, None] * np.tile(dirs, (n_r, 1))
-    keep = rr.reshape(-1) > 0
-    vals = np.zeros(len(pts))
-    if np.any(keep):
-        v, _ = pair.evaluate_many(pts[keep])
-        vals[keep] = v
-    total = float(np.sum(vals**2 * w.reshape(-1)))
-    return total
+    return _polar_integral(
+        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, extent, n_r
+    )
 
 
 def domain_mass(pair, n_r=64, n_theta=512):
@@ -280,14 +274,11 @@ def domain_mass(pair, n_r=64, n_theta=512):
     """
     curve = pair.curve
     center = curve.centroid
-    tg = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
+    tg = np.linspace(0.0, TWO_PI, _PROBE, endpoint=False)
     rel = curve.point(tg) - center
     phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-    if np.any(np.diff(phi) <= 0) or abs(phi[-1] - phi[0] - TWO_PI * (
-        1 - 1.0 / len(tg)
-    )) > 0.5:
-        if np.any(np.diff(phi) <= 0):
-            raise RegionError("domain is not star-shaped about its centroid")
+    if np.any(np.diff(phi) <= 0):
+        raise RegionError("domain is not star-shaped about its centroid")
     theta = np.linspace(phi[0], phi[0] + TWO_PI, n_theta, endpoint=False)
     # invert the angle map on the dense grid, then polish by bisection
     t_of_phi = np.interp(theta, phi, tg + np.where(tg < tg[0], TWO_PI, 0))
@@ -301,14 +292,9 @@ def domain_mass(pair, n_r=64, n_theta=512):
     a = t_of_phi - h
     a, b = _bisect(angle_err, a, t_of_phi + h, angle_err(a, np.arange(n_theta)), 0.0)
     R = np.linalg.norm(curve.point(0.5 * (a + b)) - center, axis=1)
-
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
-    rr = 0.5 * R[None, :] * (nodes[:, None] + 1.0)
-    w = 0.5 * R[None, :] * wts[:, None] * rr * (TWO_PI / n_theta)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = center + rr.reshape(-1)[:, None] * np.tile(dirs, (n_r, 1))
-    vals, _ = pair.evaluate_many(pts)
-    return float(np.sum(vals**2 * w.reshape(-1)))
+    return _polar_integral(
+        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, R, n_r
+    )
 
 
 # -- doubling profiles ------------------------------------------------------------------
@@ -418,13 +404,13 @@ class SpecialPointReport:
         return self.total_mass / (self.rho ** (-3.0) * self.ball_mass)
 
 
-def boundary_net(curve, spacing, probe=8192):
+def boundary_net(curve, spacing):
     """Curve parameters of an equal-arclength net with the given spacing."""
     if spacing >= curve.perimeter / 2:
         raise ValueError("net spacing must be below half the perimeter")
     m = int(np.ceil(curve.perimeter / spacing))
-    tg = np.linspace(0.0, TWO_PI, probe, endpoint=False)
-    cum = np.concatenate([[0.0], np.cumsum(curve.speed(tg)) * (TWO_PI / probe)])
+    tg = np.linspace(0.0, TWO_PI, _PROBE, endpoint=False)
+    cum = np.concatenate([[0.0], np.cumsum(curve.speed(tg)) * (TWO_PI / _PROBE)])
     targets = curve.perimeter * np.arange(m) / m
     return np.interp(targets, cum[:-1], tg)
 

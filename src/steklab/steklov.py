@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, OutOfDomainError, SolverError
+from .frequency import _polar_integral
 from .geometry import BoundaryCurve
 
 TWO_PI = 2.0 * np.pi
@@ -347,10 +348,6 @@ class SteklovEigenpair:
         v, g = self.evaluate_many(np.asarray(x, dtype=float)[None, :])
         return float(v[0]), g[0]
 
-    def boundary_neumann(self):
-        """Neumann trace at the nodes from the layer-potential jump relation."""
-        return (0.5 * self.density + self.dtn.Kprime @ self.density)
-
 
 def _pad_spectrum(spec, Nf):
     N = len(spec)
@@ -464,8 +461,10 @@ def solve_spectrum(dtn, count):
     basis is pinned (see `_pin_cluster_bases`), so the traces do not depend
     on the BLAS thread count; a cluster that `count` cuts is pinned whole
     before it is truncated. The eigenvector of a single eigenvalue is signed
-    so that its largest-magnitude sample is positive. Eigenvalues below
-    1e-8, the constant mode's, are returned as exactly 0.
+    so that its first sample of magnitude at least (1 - 1e-8) times the
+    largest is positive: samples that tie in magnitude, as symmetric ones
+    do, are not ordered by round-off. Eigenvalues below 1e-8, the constant
+    mode's, are returned as exactly 0.
     """
     count = int(count)
     if count > dtn.N // 4:
@@ -476,9 +475,6 @@ def solve_spectrum(dtn, count):
         evals, evecs = scipy.linalg.eigh(As)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise SolverError(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(evals)
-    evals = evals[order]
-    evecs = evecs[:, order]
     pinned = _pin_cluster_bases(evals, evecs, count)[:count]
     evals = evals[:count]
     evecs = evecs[:, :count]
@@ -494,8 +490,10 @@ def solve_spectrum(dtn, count):
         f = evecs[:, j] / sqw
         norm = np.sqrt(np.sum(dtn.weights * f**2))
         f = f / norm
-        # sign of a single eigenvector: largest-magnitude sample positive
-        imax = int(np.argmax(np.abs(f)))
+        # sign of a single eigenvector: its first sample within 1e-8 of the
+        # largest magnitude is positive, so round-off cannot break a tie
+        a = np.abs(f)
+        imax = int(np.argmax(a >= (1.0 - 1e-8) * np.max(a)))
         if not pinned[j] and f[imax] < 0:
             f = -f
         lam = float(evals[j])
@@ -533,15 +531,10 @@ def interior_sup_bound_check(pair, center, radius, n_radial=48, n_angular=128):
     if gap <= radius:
         raise OutOfDomainError("ball not contained in the domain")
 
-    nodes, wts = np.polynomial.legendre.leggauss(n_radial)
-    r_nodes = 0.5 * radius * (nodes + 1.0)
-    r_wts = 0.5 * radius * wts
     theta = np.linspace(0.0, TWO_PI, n_angular, endpoint=False)
-    rr, tt = np.meshgrid(r_nodes, theta, indexing="ij")
-    pts = center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
-    vals, _ = pair.evaluate_many(pts)
-    vals = vals.reshape(n_radial, n_angular)
-    integral = np.sum((vals**2 * rr).sum(axis=1) * (TWO_PI / n_angular) * r_wts)
+    integral = _polar_integral(
+        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, radius, n_radial
+    )
     mean_sq = integral / (np.pi * radius**2)
 
     half = 0.5 * radius

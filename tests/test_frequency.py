@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from steklab.frequency import (
     zero_coefficients,
     zeta_bound_constant,
 )
+from steklab.frequency import _disk_integral, _gauss
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +260,21 @@ class TestLemmas:
         assert rep.frequency == pytest.approx(3.0, abs=1e-8)
         assert 0 < rep.kappa < 1
         assert np.isfinite(rep.constant) and rep.constant > 0
+
+
+class TestQuadratureRules:
+    def test_unconverged_refinement_warns(self):
+        # |x| has a kink on the disk: 96 radial nodes reach 4/3 to 5e-5 only
+        with pytest.warns(RuntimeWarning, match="unconverged at n = 96"):
+            got = _disk_integral(lambda p: np.abs(p[:, 0]), np.zeros(2), 1.0)
+        assert got == pytest.approx(4.0 / 3.0, rel=1e-4)
+
+    def test_converged_refinement_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _disk_integral(lambda p: p[:, 0] ** 2, np.zeros(2), 1.0)
+        assert got == pytest.approx(np.pi / 4.0, rel=1e-13)
+
+    def test_gauss_rule_is_read_only(self):
+        with pytest.raises(ValueError):
+            _gauss(8)[0][0] = 0.0

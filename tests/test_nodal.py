@@ -120,6 +120,21 @@ class TestBoundaryMass:
         pair = disk_spectrum[3]
         assert boundary_mass(pair, (0.0, 0.0), 0.5) == 0.0
 
+    def test_gauss_rule_built_once_per_order(self, disk_spectrum, monkeypatch):
+        # every interval and refinement level of an order shares one rule
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def recording(n):
+            orders.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+        pair, center = disk_spectrum[9], np.array([1.0, 0.0])
+        first = boundary_mass(pair, center, 0.3)
+        assert boundary_mass(pair, center, 0.3) == first
+        assert all(orders.count(n) <= 1 for n in orders)
+
 
 class UnitField:
     """Stand-in eigenpair u = 1 on a curve; counts the points it evaluates."""

@@ -1,7 +1,8 @@
 """The disk spectrum and its boundary zero counts do not depend on the BLAS
 thread count: eigh returns a thread-dependent basis inside each degenerate
 eigenspace, which solve_spectrum replaces by a pinned one. Neither does the
-constant mode's eigenvalue, which solve_spectrum returns as exactly 0."""
+constant mode's eigenvalue, which solve_spectrum returns as exactly 0, nor
+the sign of an ellipse eigenvector, whose largest samples tie in magnitude."""
 
 import os
 import subprocess
@@ -29,6 +30,9 @@ reports.append(boundary_zeros(fake, flag_rel=1e-5))
 np.savez(
     sys.argv[1],
     traces=np.array([pair.trace for pair in spectrum]),
+    ellipse=np.array(
+        [pair.trace for pair in solve_spectrum(build_dtn(geometry.ellipse(2.0, 1.0), 512), 100)]
+    ),
     counts=[rep.count for rep in reports],
     flags=[len(rep.tangential_flags) for rep in reports],
     # the constant mode at N = 256, where round-off gave it 0 at one thread
@@ -61,3 +65,6 @@ def test_disk_spectrum_thread_independent(tmp_path):
     assert one["counts"].tolist() == two["counts"].tolist()
     assert one["flags"].tolist() == two["flags"].tolist()
     assert one["lam0"].tolist() == two["lam0"].tolist() == [0.0, 0.0]
+    # near-degenerate ellipse pairs mix by a few 1e-9 of sup; a sign flip
+    # would make the inner product negative
+    assert np.all(np.sum(one["ellipse"] * two["ellipse"], axis=1) > 0)
