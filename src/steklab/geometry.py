@@ -22,37 +22,7 @@ from .errors import (
 )
 
 _REGULARITY_TOL = 1e-12
-
-
-def _fourier_eval(coeffs, t, deriv=0):
-    """Evaluate a0 + sum_k (a_k cos kt + b_k sin kt) or a derivative at t.
-
-    coeffs is laid out [a0, a1, b1, a2, b2, ...].
-    """
-    t = np.asarray(t, dtype=float)
-    a0 = coeffs[0]
-    rest = coeffs[1:]
-    n_modes = len(rest) // 2
-    out = np.zeros_like(t)
-    if deriv == 0:
-        out += a0
-    for k in range(1, n_modes + 1):
-        a, b = rest[2 * (k - 1)], rest[2 * (k - 1) + 1]
-        if a == 0.0 and b == 0.0:
-            continue
-        kt = k * t
-        fac = float(k) ** deriv
-        # d/dt cycles (cos, -sin, -cos, sin); sin cycles (sin, cos, -sin, -cos)
-        phase = deriv % 4
-        if phase == 0:
-            out += fac * (a * np.cos(kt) + b * np.sin(kt))
-        elif phase == 1:
-            out += fac * (-a * np.sin(kt) + b * np.cos(kt))
-        elif phase == 2:
-            out += fac * (-a * np.cos(kt) - b * np.sin(kt))
-        else:
-            out += fac * (a * np.sin(kt) - b * np.cos(kt))
-    return out
+_PROBE = 8192  # curve samples that locate ball edges, star angles and arclength
 
 
 def _segments_intersect(p, q, r, s):
@@ -73,8 +43,14 @@ def _segments_intersect(p, q, r, s):
 class BoundaryCurve:
     """Closed analytic curve gamma: [0, 2pi) -> R^2 given by Fourier coefficients.
 
-    Validates at construction that the discrete curve is simple, regular and
-    counterclockwise.
+    Each coordinate is a0 + sum_k (a_k cos kt + b_k sin kt), with coefficients
+    laid out [a0, a1, b1, a2, b2, ...]. Validates at construction that the
+    discrete curve is simple, regular and counterclockwise.
+
+    Two read-only attributes hold a dense sample table of the curve, built
+    once, for the scans that locate ball edges, star angles and arclength:
+    probe_t, the _PROBE equispaced parameters 2 pi j / _PROBE, and
+    probe_points, gamma at those parameters, shape (_PROBE, 2).
     """
 
     def __init__(self, fourier_x, fourier_y, name="", grid_size=1024):
@@ -86,18 +62,26 @@ class BoundaryCurve:
         self.grid_size = int(grid_size)
         self.n_modes = max(len(self.fourier_x), len(self.fourier_y)) // 2
 
+        # gamma(t) = Re sum_k c_k e^{ikt} with c_k = a_k - i b_k, one column
+        # per coordinate; _dcoef[d] holds the coefficients of gamma^(d)
+        c = np.zeros((self.n_modes + 1, 2), dtype=complex)
+        for col, f in enumerate((self.fourier_x, self.fourier_y)):
+            c[0, col] = f[0]
+            c[1:len(f) // 2 + 1, col] = f[1::2] - 1j * f[2::2]
+        self._k = np.arange(self.n_modes + 1)
+        self._dcoef = [c * (1j**d * self._k[:, None] ** d) for d in range(3)]
+
         self._tgrid = np.linspace(0.0, 2 * np.pi, self.grid_size, endpoint=False)
         self._pgrid = self.point(self._tgrid)
-        sp = self.speed(self._tgrid)
+        v = self.velocity(self._tgrid)
+        sp = np.linalg.norm(v, axis=-1)
         if np.min(sp) <= _REGULARITY_TOL:
             raise DegenerateCurveError("parametrization is not regular on the grid")
         self._check_simple()
 
         # signed area via 0.5 * integral (x y' - y x') dt, trapezoid is spectral here
         x, y = self._pgrid[:, 0], self._pgrid[:, 1]
-        dx = _fourier_eval(self.fourier_x, self._tgrid, 1)
-        dy = _fourier_eval(self.fourier_y, self._tgrid, 1)
-        self.area = 0.5 * np.mean(x * dy - y * dx) * 2 * np.pi
+        self.area = 0.5 * np.mean(x * v[:, 1] - y * v[:, 0]) * 2 * np.pi
         if self.area <= 0:
             raise DegenerateCurveError("orientation must be counterclockwise")
         self.perimeter = float(np.mean(sp) * 2 * np.pi)
@@ -115,6 +99,11 @@ class BoundaryCurve:
         self._pseed = self.point(self._tseed)
         self._tree = cKDTree(self._pseed)
         self._seed_spacing = 2 * np.pi / len(self._tseed)
+
+        self.probe_t = np.linspace(0.0, 2 * np.pi, _PROBE, endpoint=False)
+        self.probe_points = self.point(self.probe_t)
+        self.probe_t.flags.writeable = False
+        self.probe_points.flags.writeable = False
 
         kappa = self.curvature(self._tgrid)
         self.max_abs_curvature = float(np.max(np.abs(kappa)))
@@ -138,26 +127,20 @@ class BoundaryCurve:
 
     # -- pointwise evaluation --------------------------------------------------
 
+    def _series(self, t, *orders):
+        """gamma^(d)(t) for each order d in orders, from one e^{ikt} table."""
+        e = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), self._k))
+        out = (e @ np.hstack([self._dcoef[d] for d in orders])).real
+        return [out[..., 2 * j:2 * j + 2] for j in range(len(orders))]
+
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(
-            [_fourier_eval(self.fourier_x, t), _fourier_eval(self.fourier_y, t)],
-            axis=-1,
-        )
+        return self._series(t, 0)[0]
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(
-            [_fourier_eval(self.fourier_x, t, 1), _fourier_eval(self.fourier_y, t, 1)],
-            axis=-1,
-        )
+        return self._series(t, 1)[0]
 
     def acceleration(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(
-            [_fourier_eval(self.fourier_x, t, 2), _fourier_eval(self.fourier_y, t, 2)],
-            axis=-1,
-        )
+        return self._series(t, 2)[0]
 
     def speed(self, t):
         return np.linalg.norm(self.velocity(t), axis=-1)
@@ -172,8 +155,7 @@ class BoundaryCurve:
         return np.stack([tg[..., 1], -tg[..., 0]], axis=-1)
 
     def curvature(self, t):
-        v = self.velocity(t)
-        a = self.acceleration(t)
+        v, a = self._series(t, 1, 2)
         sp = np.linalg.norm(v, axis=-1)
         return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / sp**3
 
@@ -223,9 +205,7 @@ class BoundaryCurve:
         t = self._tseed[idx].copy()
         max_step = 1.5 * self._seed_spacing
         for _ in range(30):
-            g = self.point(t)
-            v = self.velocity(t)
-            a = self.acceleration(t)
+            g, v, a = self._series(t, 0, 1, 2)
             diff = x - g
             f = np.einsum("ij,ij->i", diff, v)
             fp = -np.einsum("ij,ij->i", v, v) + np.einsum("ij,ij->i", diff, a)
@@ -238,19 +218,18 @@ class BoundaryCurve:
             if np.max(np.abs(step)) < 1e-15:
                 break
         t = np.mod(t, 2 * np.pi)
-        g = self.point(t)
-        v = self.velocity(t)
+        g, v = self._series(t, 0, 1)
         diff = x - g
         resid = np.abs(np.einsum("ij,ij->i", diff, v))
-        dist0 = np.linalg.norm(diff, axis=-1)
+        dist = np.linalg.norm(diff, axis=-1)
         vnorm = np.linalg.norm(v, axis=-1)
         # the dot product carries rounding noise of order eps * |x| * |v|,
         # which dominates the angle test for points very close to the curve
         floor = 1e-12 * max(self.diameter, 1.0) * vnorm
-        if np.any(resid > np.maximum(1e-6 * dist0 * vnorm, floor)):
+        if np.any(resid > np.maximum(1e-6 * dist * vnorm, floor)):
             raise FootPointError("foot-point Newton did not converge")
-        nu = self.normal(t)
-        dist = np.linalg.norm(diff, axis=-1)
+        tg = v / vnorm[:, None]
+        nu = np.stack([tg[:, 1], -tg[:, 0]], axis=-1)
         dot = np.einsum("ij,ij->i", diff, nu)
         s = np.where(dot >= 0, dist, -dist)
         gap = np.linalg.norm(diff - s[:, None] * nu, axis=-1)

@@ -210,10 +210,9 @@ def max_doubling_exponent(pair, n_centers=8, radii_per_octave=4, octaves=3.0):
 def run_scaling_study(config, spectrum=None):
     """Nodal counts and doubling exponents across a spectrum slice, with
     log-log fits against the eigenvalue."""
-    curve = config.curve()
     count = config.j_max + 1
     if spectrum is None:
-        spectrum = solve_spectrum(build_dtn(curve, config.n_nodes), count)
+        spectrum = solve_spectrum(build_dtn(config.curve(), config.n_nodes), count)
     records = []
     for j in range(config.j_min, count):
         pair = spectrum[j]

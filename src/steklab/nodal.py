@@ -26,9 +26,6 @@ from .frequency import _disk_integral, _gauss, _polar_integral, _refine
 
 TWO_PI = 2.0 * np.pi
 
-_PROBE = 8192  # curve samples that locate ball edges, star angles and arclength
-
-
 # -- root bracketing ------------------------------------------------------------------
 
 
@@ -110,7 +107,9 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 
     Suspected tangential (even-order) zeros are flagged and not counted:
     - a run of grid samples below flag_rel times the sup of the trace that
-      touches no sign change gets one flag, at its middle sample;
+      touches no sign change gets one flag, at its middle sample (the
+      earlier of two). The grid is circular: a run through t = 0 is one run
+      and gets one flag;
     - two sign changes on either side of a single sample below flag_rel
       times the sup are one touching zero whose sample fell on the wrong
       side by round-off, or whose interpolant dips just under zero between
@@ -119,11 +118,16 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
     A tangential zero between two samples that both exceed flag_rel times
     the sup is neither counted nor flagged.
 
+    flag_rel must lie in [0, 1), so that the largest sample is never near
+    zero; flag_rel = 0 flags nothing.
+
     Each zero is bisected until its bracket is at most tol wide, or to float
     resolution; tol = 0 asks for the latter.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if not 0 <= flag_rel < 1:
+        raise ValueError(f"flag_rel must lie in [0, 1), got {flag_rel}")
     guard = nyquist_guard(pair)
     if samples is None:
         samples = max(1024, 2 * guard)
@@ -158,25 +162,20 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
     )
     zeros = 0.5 * (a + b) % TWO_PI
 
-    # near-zero grid runs without a crossing: suspected tangential zeros
-    covered = crossing | np.roll(crossing, 1)
-    flags = []
-    run = None
-    for i in range(samples):
-        if small[i] and not covered[i]:
-            run = i if run is None else run
-        else:
-            if run is not None:
-                flags.append(tg[(run + i - 1) // 2])
-                run = None
-    if run is not None:
-        flags.append(tg[(run + samples - 1) // 2])
+    # near-zero grid runs without a crossing: suspected tangential zeros;
+    # as the largest sample is never small, every run starts and ends
+    run = small & ~(crossing | np.roll(crossing, 1))
+    starts = np.flatnonzero(run & ~np.roll(run, 1))
+    ends = np.flatnonzero(run & ~np.roll(run, -1))
+    if len(starts) and ends[0] < starts[0]:
+        ends = np.roll(ends, -1)  # the last run wraps past t = 2 pi
+    flags = np.sort(tg[(starts + (ends - starts) % samples // 2) % samples])
 
     return NodalReport(
         eigenvalue=pair.eigenvalue,
         zeros=np.sort(zeros),
         tol=tol,
-        tangential_flags=np.array(flags),
+        tangential_flags=flags,
         samples=samples,
     )
 
@@ -187,12 +186,12 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 def _ball_curve_intervals(curve, center, r):
     """Parameter intervals {t: |gamma(t) - center| < r}, bisected to 1e-13."""
     center = np.asarray(center, dtype=float)
-    tg = np.linspace(0.0, TWO_PI, _PROBE, endpoint=False)
+    tg = curve.probe_t
 
-    def dist(t, _=None):
+    def dist(t, _):
         return np.linalg.norm(curve.point(t) - center, axis=1) - r
 
-    g = dist(tg)
+    g = np.linalg.norm(curve.probe_points - center, axis=1) - r
     if np.all(g < 0):
         return [(0.0, TWO_PI)]
     if np.all(g >= 0):
@@ -200,7 +199,7 @@ def _ball_curve_intervals(curve, center, r):
 
     inside = g < 0
     i = np.flatnonzero(inside != np.roll(inside, -1))
-    a, b = _bisect(dist, tg[i], tg[i] + TWO_PI / _PROBE, g[i], 1e-13)
+    a, b = _bisect(dist, tg[i], tg[i] + TWO_PI / len(tg), g[i], 1e-13)
     edges = 0.5 * (a + b)
     # edges alternate; rotate so the list starts with an entry edge
     if inside[i[0]]:
@@ -274,8 +273,8 @@ def domain_mass(pair, n_r=64, n_theta=512):
     """
     curve = pair.curve
     center = curve.centroid
-    tg = np.linspace(0.0, TWO_PI, _PROBE, endpoint=False)
-    rel = curve.point(tg) - center
+    tg = curve.probe_t
+    rel = curve.probe_points - center
     phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     if np.any(np.diff(phi) <= 0):
         raise RegionError("domain is not star-shaped about its centroid")
@@ -409,8 +408,8 @@ def boundary_net(curve, spacing):
     if spacing >= curve.perimeter / 2:
         raise ValueError("net spacing must be below half the perimeter")
     m = int(np.ceil(curve.perimeter / spacing))
-    tg = np.linspace(0.0, TWO_PI, _PROBE, endpoint=False)
-    cum = np.concatenate([[0.0], np.cumsum(curve.speed(tg)) * (TWO_PI / _PROBE)])
+    tg = curve.probe_t
+    cum = np.concatenate([[0.0], np.cumsum(curve.speed(tg)) * (TWO_PI / len(tg))])
     targets = curve.perimeter * np.arange(m) / m
     return np.interp(targets, cum[:-1], tg)
 

@@ -33,6 +33,8 @@ _MODE_FLOOR = 1e-14
 _MAX_UPSAMPLE = 16
 _RESOLUTION_FACTOR = 40.0  # target exp(-40) quadrature tail
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
+_EVAL_CHUNK = 4096  # points per foot-point and Taylor block of evaluate_many
+_LAYER_BUDGET = 2**21  # entries of one (points, sources) layer table
 
 
 def _log_circulant(N):
@@ -281,10 +283,17 @@ class SteklovEigenpair:
     def _layer_eval(self, x, factor):
         pts, charge = self._source_table(factor)
         R = self.dtn.kernel_scale
-        diff = x[:, None, :] - pts[None, :, :]  # (P, Nf, 2)
-        dist2 = np.einsum("pjk,pjk->pj", diff, diff)
-        vals = -(1.0 / (2 * TWO_PI)) * (np.log(dist2) - 2 * np.log(R)) @ charge
-        grad = -(1.0 / TWO_PI) * np.einsum("pjk,pj,j->pk", diff, 1.0 / dist2, charge)
+        vals = np.empty(len(x))
+        grad = np.empty((len(x), 2))
+        rows = _LAYER_BUDGET // len(pts)
+        for start in range(0, len(x), rows):
+            sl = slice(start, start + rows)
+            diff = x[sl, None, :] - pts[None, :, :]  # (rows, Nf, 2)
+            dist2 = np.einsum("pjk,pjk->pj", diff, diff)
+            vals[sl] = -(1.0 / (2 * TWO_PI)) * (np.log(dist2) - 2 * np.log(R)) @ charge
+            grad[sl] = -(1.0 / TWO_PI) * np.einsum(
+                "pjk,pj,j->pk", diff, 1.0 / dist2, charge
+            )
         return vals, grad
 
     # -- public evaluation ---------------------------------------------------------
@@ -300,14 +309,18 @@ class SteklovEigenpair:
         s_taylor = min(0.5 / lam, 0.15 * delta)
         return s_taylor, band_out
 
-    def evaluate_many(self, x, chunk=4096):
+    def evaluate_many(self, x):
         """u and grad u at an array of points inside Omega or in the thin
-        exterior extension band."""
+        exterior extension band.
+
+        Memory is bounded for any number of points and any upsampling: points
+        go in blocks of _EVAL_CHUNK, and the layer quadrature holds at most
+        _LAYER_BUDGET point-source pairs at a time."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out_v = np.empty(len(x))
         out_g = np.empty((len(x), 2))
-        for start in range(0, len(x), chunk):
-            sl = slice(start, min(start + chunk, len(x)))
+        for start in range(0, len(x), _EVAL_CHUNK):
+            sl = slice(start, min(start + _EVAL_CHUNK, len(x)))
             v, g = self._evaluate_block(x[sl])
             out_v[sl] = v
             out_g[sl] = g

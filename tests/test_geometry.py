@@ -12,19 +12,46 @@ from steklab.errors import (
 
 class TestFourierEval:
     def test_constant_and_first_mode(self):
-        # x(t) = 1 + 2 cos t + 3 sin t
-        coeffs = [1.0, 2.0, 3.0]
+        # x(t) = 1 + 2 cos t + 3 sin t, on a circle about (1, 0)
+        c = geometry.BoundaryCurve([1.0, 2.0, 3.0], [0.0, -3.0, 2.0])
         t = np.array([0.0, np.pi / 2, np.pi])
-        vals = geometry._fourier_eval(np.array(coeffs), t)
+        vals = c.point(t)[:, 0]
         assert np.allclose(vals, [3.0, 4.0, -1.0])
 
     def test_derivative(self):
-        coeffs = np.array([0.0, 1.0, 0.0])  # cos t
+        c = geometry.disk()  # x(t) = cos t
         t = np.linspace(0, 2 * np.pi, 7)
-        d1 = geometry._fourier_eval(coeffs, t, deriv=1)
+        d1 = c.velocity(t)[:, 0]
         assert np.allclose(d1, -np.sin(t), atol=1e-14)
-        d2 = geometry._fourier_eval(coeffs, t, deriv=2)
+        d2 = c.acceleration(t)[:, 0]
         assert np.allclose(d2, -np.cos(t), atol=1e-14)
+
+    def test_perturbed_disk_closed_form(self):
+        # gamma = r(t) (cos t, sin t) with r = 1 + eps cos(m t)
+        eps, m = 0.1, 3
+        c = geometry.perturbed_disk(eps, m)
+        t = np.linspace(0, 2 * np.pi, 1001)
+        r = 1 + eps * np.cos(m * t)
+        dr = -eps * m * np.sin(m * t)
+        ddr = -eps * m**2 * np.cos(m * t)
+        e = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        e_perp = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        want = {
+            "point": r[:, None] * e,
+            "velocity": dr[:, None] * e + r[:, None] * e_perp,
+            "acceleration": (ddr - r)[:, None] * e + 2 * dr[:, None] * e_perp,
+        }
+        for name, w in want.items():
+            assert np.max(np.abs(getattr(c, name)(t) - w)) <= 1e-14, name
+
+    def test_probe_table_is_read_only(self):
+        c = geometry.ellipse(2.0, 1.0)
+        assert np.array_equal(c.probe_points, c.point(c.probe_t))
+        assert c.probe_t[1] == 2 * np.pi / len(c.probe_t)
+        with pytest.raises(ValueError):
+            c.probe_points[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            c.probe_t[0] = 1.0
 
 
 class TestBoundaryCurve:

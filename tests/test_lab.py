@@ -66,6 +66,17 @@ class TestScalingStudy:
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.intercept == pytest.approx(np.log(2.0), abs=1e-12)
 
+    def test_given_spectrum_needs_no_curve(self, disk_spectrum, monkeypatch):
+        def no_curve(self):
+            raise AssertionError("curve built although a spectrum was given")
+
+        monkeypatch.setattr(ExperimentConfig, "curve", no_curve)
+        cfg = ExperimentConfig(
+            domain="disk", j_min=1, j_max=6, n_centers=1, octaves=1.0
+        )
+        study = run_scaling_study(cfg, spectrum=disk_spectrum)
+        assert [r.zero_count for r in study.records] == [2, 2, 4, 4, 6, 6]
+
     def test_records_complete(self, small_study):
         assert len(small_study.records) == 9
         assert all(r.included for r in small_study.records)

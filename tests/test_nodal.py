@@ -92,6 +92,31 @@ class TestBoundaryZeros:
         h = 2 * np.pi / rep.samples
         assert np.any(np.abs(rep.tangential_flags - np.pi) <= h)
 
+    def test_tangential_zero_run_through_t_zero(self, disk_spectrum):
+        # -cos 3t minus its minimum touches zero at 0, 2pi/3 and 4pi/3; the
+        # near-zero run about t = 0 wraps past 2pi and is flagged once
+        import copy
+
+        a, b = disk_spectrum[5], disk_spectrum[6]
+        basis = np.stack([a.trace, b.trace], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, -np.cos(3 * a.dtn.t), rcond=None)
+        f = basis @ coef
+        fake = copy.copy(a)
+        fake.trace = f - np.min(f)
+        fake._cont = {}
+        rep = boundary_zeros(fake, samples=20000, flag_rel=1e-5)
+        assert rep.count == 0
+        assert len(rep.tangential_flags) == 3
+        h = 2 * np.pi / rep.samples
+        for want in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):
+            d = np.abs((rep.tangential_flags - want + np.pi) % (2 * np.pi) - np.pi)
+            assert np.min(d) <= h
+
+    @pytest.mark.parametrize("flag_rel", [-1e-9, 1.0, np.nan])
+    def test_flag_rel_range(self, disk_spectrum, flag_rel):
+        with pytest.raises(ValueError):
+            boundary_zeros(disk_spectrum[5], flag_rel=flag_rel)
+
     def test_csv_format(self, disk_spectrum):
         rep = boundary_zeros(disk_spectrum[1])
         lines = rep.to_csv().split("\r\n")
@@ -146,6 +171,23 @@ class UnitField:
     def evaluate_many(self, pts):
         self.points += len(pts)
         return np.ones(len(pts)), np.zeros((len(pts), 2))
+
+
+def test_dense_scans_read_the_probe_table(disk_spectrum, monkeypatch):
+    # after construction, no scan samples the curve at all 8192 probe points
+    pair, curve = disk_spectrum[9], geometry.ellipse(2.0, 1.0)
+    sizes = []
+    point = geometry.BoundaryCurve.point
+
+    def recording(self, t):
+        sizes.append(np.size(t))
+        return point(self, t)
+
+    monkeypatch.setattr(geometry.BoundaryCurve, "point", recording)
+    boundary_mass(pair, np.array([1.0, 0.0]), 0.3)
+    domain_mass(UnitField(curve))
+    boundary_net(curve, 0.25)
+    assert sizes and 8192 not in sizes
 
 
 class TestSolidMasses:

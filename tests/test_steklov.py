@@ -175,6 +175,27 @@ class TestExtension:
             pair.eigenvalue**2
         )
 
+    def test_layer_memory_bounded(self, disk_spectrum):
+        # 4096 points just past the Taylor band of the lambda = 40 mode need
+        # 8x upsampled layer quadrature; one (4096, 4096, 2) table peaked
+        # at 512 MB
+        import tracemalloc
+
+        pair = disk_spectrum[80]
+        s_taylor, _ = pair.extension_bands()
+        r = 1.0 - 1.01 * s_taylor
+        th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+        x = r * np.stack([np.cos(th), np.sin(th)], axis=1)
+        pair.evaluate_many(x[:1])  # build the cached tables untraced
+        tracemalloc.start()
+        try:
+            u, _ = pair.evaluate_many(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert np.max(np.abs(u - r**40 * pair.trace_at(th))) <= 1e-12
+
     def test_outside_band_rejected(self, disk_spectrum):
         pair = disk_spectrum[5]
         with pytest.raises(OutOfDomainError):
