@@ -50,7 +50,8 @@ class BoundaryCurve:
     Two read-only attributes hold a dense sample table of the curve, built
     once, for the scans that locate ball edges, star angles and arclength:
     probe_t, the _PROBE equispaced parameters 2 pi j / _PROBE, and
-    probe_points, gamma at those parameters, shape (_PROBE, 2).
+    probe_points, gamma at those parameters, shape (_PROBE, 2). A point
+    within round_off = 1e-12 max(diameter, 1) of the curve counts as on it.
     """
 
     def __init__(self, fourier_x, fourier_y, name="", grid_size=1024):
@@ -93,6 +94,7 @@ class BoundaryCurve:
             float(np.max(self._pgrid[:, 1]) - np.min(self._pgrid[:, 1])),
         )
         self.centroid = self._pgrid.mean(axis=0)
+        self.round_off = 1e-12 * max(self.diameter, 1.0)
 
         # seed structures for foot-point searches (4x oversampled per design)
         self._tseed = np.linspace(0.0, 2 * np.pi, 4 * self.grid_size, endpoint=False)
@@ -225,7 +227,7 @@ class BoundaryCurve:
         vnorm = np.linalg.norm(v, axis=-1)
         # the dot product carries rounding noise of order eps * |x| * |v|,
         # which dominates the angle test for points very close to the curve
-        floor = 1e-12 * max(self.diameter, 1.0) * vnorm
+        floor = self.round_off * vnorm
         if np.any(resid > np.maximum(1e-6 * dist * vnorm, floor)):
             raise FootPointError("foot-point Newton did not converge")
         tg = v / vnorm[:, None]

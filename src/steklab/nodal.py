@@ -19,12 +19,14 @@ import numpy as np
 
 from .errors import (
     DegenerateCenterError,
+    OutOfDomainError,
     RegionError,
     UndersampledError,
 )
 from .frequency import _disk_integral, _gauss, _polar_integral, _refine
 
 TWO_PI = 2.0 * np.pi
+_ANGLE_PAD = 1e-6  # radians added to each side of a probe segment's sweep
 
 # -- root bracketing ------------------------------------------------------------------
 
@@ -237,30 +239,83 @@ def solid_mass_v(vfield, center, r):
     )
 
 
+def _ray_extents(curve, center, theta, r):
+    """First exit from the domain of each ray center + rho (cos theta,
+    sin theta), capped at r, or 0 for a ray that starts outside.
+
+    theta is ascending and spans less than 2 pi. A ray crosses the curve
+    where g(t) = d x (gamma(t) - center) changes sign, and the crossing is
+    an exit when g rises through it (d . nu > 0). The angle of each probe
+    point about the center proposes the rays that may cross each probe
+    segment, g on the segment's two nodes (one value per node, shared by
+    its two segments) confirms them, and _bisect refines each crossing to
+    float resolution. Crossings within curve.round_off of the center are
+    dropped, so a ray from a center on the curve takes its side from
+    its first crossing beyond that floor; a ray with none lies outside.
+    A center off the curve but nearer to it than a probe segment's sagitta
+    (7.4e-8 on the unit disk) sees that segment's arc sweep the long way
+    round, which the proposal misses, so its rays that exit there read 0.
+    """
+    center = np.asarray(center, dtype=float)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    rel = curve.probe_points - center
+    m, n = len(rel), len(theta)
+
+    # rays within the angle swept by each segment i -> i + 1, padded
+    phi = np.arctan2(rel[:, 1], rel[:, 0])
+    sweep = (np.roll(phi, -1) - phi + np.pi) % TWO_PI - np.pi
+    lo = (np.minimum(phi, phi + sweep) - _ANGLE_PAD - theta[0]) % TWO_PI + theta[0]
+    wrapped = np.concatenate([theta, theta + TWO_PI])
+    first = np.searchsorted(wrapped, lo)
+    cnt = np.searchsorted(wrapped, lo + np.abs(sweep) + 2 * _ANGLE_PAD, "right") - first
+    seg = np.repeat(np.arange(m), cnt)
+    ray = (np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)) % n
+
+    def cross(d, p):
+        return d[:, 0] * p[:, 1] - d[:, 1] * p[:, 0]
+
+    d = dirs[ray]
+    ga = cross(d, rel[seg])
+    keep = (ga < 0) != (cross(d, rel[(seg + 1) % m]) < 0)
+    seg, ray, d, ga = seg[keep], ray[keep], d[keep], ga[keep]
+    a, b = _bisect(
+        lambda t, i: cross(d[i], curve.point(t) - center),
+        curve.probe_t[seg], curve.probe_t[seg] + TWO_PI / m, ga, 0.0,
+    )
+    rho = np.einsum("ij,ij->i", curve.point(0.5 * (a + b)) - center, d)
+
+    # the first crossing of each ray beyond the floor decides its extent
+    beyond = rho > curve.round_off
+    ray, rho, leaves = ray[beyond], rho[beyond], ga[beyond] < 0
+    order = np.lexsort((rho, ray))
+    head = order[np.unique(ray[order], return_index=True)[1]]
+    extent = np.zeros(n)
+    extent[ray[head]] = np.where(leaves[head], np.minimum(rho[head], r), 0.0)
+    return extent
+
+
 def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
     """Integral of u^2 over B(center, r) intersected with the domain.
 
-    Polar grid about the center with per-ray clipping at the boundary, found
-    by bisection on the signed tube offset.
+    Polar grid about the center, with n_theta rays from angle 0. Each ray
+    runs to its first exit from the domain, capped at r, so a ray that
+    leaves and re-enters the ball's part of a non-convex domain stops at
+    the exit. The center may lie on the curve, within curve.round_off =
+    1e-12 max(diameter, 1) of it: a ray from there is inside when its first
+    crossing of the curve beyond that floor is an exit (d . nu > 0), and a
+    ray that leaves at once has extent 0 and is not evaluated.
+
+    Raises OutOfDomainError when no ray has a positive extent, as from a
+    center outside the domain by more than the floor, and ValueError unless
+    r is positive and finite.
     """
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"ball radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
-    curve = pair.curve
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-    # per-ray extent of Omega: bisection on the signed offset, from the
-    # center (taken as inside) to the last inside radius
-    def offset(rho, d):
-        _, s, _ = curve.nearest_point_many(center + rho[:, None] * d)
-        return s
-
-    extent = np.full(n_theta, float(r))
-    out = np.flatnonzero(~(offset(extent, dirs) < 0))
-    extent[out], _ = _bisect(
-        lambda rho, i: offset(rho, dirs[out[i]]),
-        np.zeros(len(out)), extent[out], -1.0, 1e-15 * r,
-    )
-
+    extent = _ray_extents(pair.curve, center, theta, r)
+    if not extent.any():
+        raise OutOfDomainError(f"ball center {center} lies outside the domain")
     return _polar_integral(
         lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, extent, n_r
     )
@@ -269,30 +324,21 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
 def domain_mass(pair, n_r=64, n_theta=512):
     """Integral of u^2 over the whole domain by centroid-star quadrature.
 
-    Requires the domain to be star-shaped with respect to its centroid.
+    Requires the domain to be star-shaped with respect to its centroid: the
+    angle of the probe points about it must increase, else RegionError. The
+    n_theta rays start at the angle of gamma(0) and each runs to its one
+    exit from the domain (the ray kernel of clipped_ball_mass, uncapped).
     """
     curve = pair.curve
     center = curve.centroid
-    tg = curve.probe_t
     rel = curve.probe_points - center
     phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     if np.any(np.diff(phi) <= 0):
         raise RegionError("domain is not star-shaped about its centroid")
     theta = np.linspace(phi[0], phi[0] + TWO_PI, n_theta, endpoint=False)
-    # invert the angle map on the dense grid, then polish by bisection
-    t_of_phi = np.interp(theta, phi, tg + np.where(tg < tg[0], TWO_PI, 0))
-
-    def angle_err(t, i):
-        rel = curve.point(t) - center
-        d = np.arctan2(rel[:, 1], rel[:, 0]) - theta[i]
-        return (d + np.pi) % TWO_PI - np.pi
-
-    h = TWO_PI / len(tg)
-    a = t_of_phi - h
-    a, b = _bisect(angle_err, a, t_of_phi + h, angle_err(a, np.arange(n_theta)), 0.0)
-    R = np.linalg.norm(curve.point(0.5 * (a + b)) - center, axis=1)
     return _polar_integral(
-        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, R, n_r
+        lambda p: pair.evaluate_many(p)[0] ** 2,
+        center, theta, _ray_extents(curve, center, theta, np.inf), n_r,
     )
 
 

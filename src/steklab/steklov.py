@@ -230,22 +230,26 @@ class SteklovEigenpair:
             nxt = np.fft.ifft(filt(nxt, k + 2) * N)
             c.append(nxt)
 
-        specs = [filt(cm, m) for m, cm in enumerate(c)]
-        active = np.zeros(N, dtype=bool)
-        for spec in specs:
-            active |= spec != 0
-        kv = kvec[active]
-        coeff = np.stack([spec[active] for spec in specs])  # (m, modes)
-        self._cont["taylor"] = (kv, coeff)
+        # fold mode -k onto k, exact under Re: Re(c e^{-ikt}) = Re(conj(c) e^{ikt});
+        # filt zeroes the Nyquist mode
+        h = N // 2
+        folded = np.zeros((h, len(c)), dtype=complex)
+        for m, cm in enumerate(c):
+            spec = filt(cm, m)
+            folded[:, m] = spec[:h]
+            folded[1:, m] += np.conj(spec[:h:-1])
+        kv = np.flatnonzero(np.any(folded != 0, axis=1))
+        coeff = folded[kv]
+        # value and t-derivative blocks side by side: (modes, 2M)
+        self._cont["taylor"] = (kv, np.hstack([coeff, coeff * (1j * kv)[:, None]]))
         return self._cont["taylor"]
 
     def _taylor_eval(self, t, s):
         """Value and Cartesian gradient of the continuation at tube coords (t, s)."""
         kv, coeff = self._continuation()
-        E = np.exp(1j * np.outer(t, kv))  # (P, modes)
-        vals_m = np.real(E @ coeff.T)  # (P, m)
-        dvals_m = np.real(E @ (coeff * (1j * kv)[None, :]).T)
-        M = coeff.shape[0]
+        M = coeff.shape[1] // 2
+        both = np.real(np.exp(1j * np.outer(t, kv)) @ coeff)  # (P, 2M)
+        vals_m, dvals_m = both[:, :M], both[:, M:]
         powers = s[:, None] ** np.arange(M)[None, :]
         u = np.sum(vals_m * powers, axis=1)
         mrange = np.arange(1, M)
@@ -253,11 +257,11 @@ class SteklovEigenpair:
         u_s = np.sum(vals_m[:, 1:] * mrange[None, :] * dpowers, axis=1)
         u_t = np.sum(dvals_m * powers, axis=1)
 
-        curve = self.curve
-        tg = curve.tangent(t)
-        nu = curve.normal(t)
-        sp = curve.speed(t)
-        kap = curve.curvature(t)
+        v, a = self.curve._series(t, 1, 2)
+        sp = np.linalg.norm(v, axis=-1)
+        tg = v / sp[:, None]
+        nu = np.stack([tg[:, 1], -tg[:, 0]], axis=-1)
+        kap = (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / sp**3
         H = sp * (1.0 + kap * s)
         grad = nu * u_s[:, None] + tg * (u_t / H)[:, None]
         return u, grad
@@ -288,12 +292,13 @@ class SteklovEigenpair:
         rows = _LAYER_BUDGET // len(pts)
         for start in range(0, len(x), rows):
             sl = slice(start, start + rows)
-            diff = x[sl, None, :] - pts[None, :, :]  # (rows, Nf, 2)
-            dist2 = np.einsum("pjk,pjk->pj", diff, diff)
+            dx = x[sl, :1] - pts[:, 0]  # (rows, Nf)
+            dy = x[sl, 1:] - pts[:, 1]
+            dist2 = dx * dx + dy * dy
             vals[sl] = -(1.0 / (2 * TWO_PI)) * (np.log(dist2) - 2 * np.log(R)) @ charge
-            grad[sl] = -(1.0 / TWO_PI) * np.einsum(
-                "pjk,pj,j->pk", diff, 1.0 / dist2, charge
-            )
+            w = np.divide(charge, dist2, out=dist2)
+            grad[sl, 0] = -(1.0 / TWO_PI) * np.einsum("pj,pj->p", dx, w)
+            grad[sl, 1] = -(1.0 / TWO_PI) * np.einsum("pj,pj->p", dy, w)
         return vals, grad
 
     # -- public evaluation ---------------------------------------------------------

@@ -1,0 +1,28 @@
+"""Every committed BENCH_*.json holds enough clean benchmark runs."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_a_bench_file_is_committed():
+    assert FILES
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_bench_file(path):
+    doc = json.loads(path.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert doc["env"]["blas_threads"] == int(doc["OPENBLAS_NUM_THREADS"])
+    assert sorted(doc["workloads"]) == sorted(workloads)
+    for name, runs in doc["workloads"].items():
+        for side in ("parent", "change"):
+            lines = runs[side] + [runs["traced"][side]]
+            assert len(runs[side]) >= 3, (name, side)
+            for r in lines:
+                assert r["correct"] is True and r["failed"] == 0, (name, side)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from steklab import geometry
-from steklab.errors import DegenerateCenterError, UndersampledError
+from steklab.errors import DegenerateCenterError, OutOfDomainError, UndersampledError
 from steklab.frequency import v_transform
 from steklab.nodal import (
+    _ray_extents,
     boundary_controls_solid_check,
     boundary_mass,
     boundary_net,
@@ -190,6 +191,87 @@ def test_dense_scans_read_the_probe_table(disk_spectrum, monkeypatch):
     assert sizes and 8192 not in sizes
 
 
+def conic_extents(a, b, center, theta, r):
+    """Exact first exit, capped at r, of rays from a point of the closed
+    ellipse x^2/a^2 + y^2/b^2 <= 1: the larger root of a quadratic in rho,
+    taken stably. Also returns the outward unit normal at the crossing."""
+    d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    A = d[:, 0] ** 2 / a**2 + d[:, 1] ** 2 / b**2
+    B = 2.0 * (center[0] * d[:, 0] / a**2 + center[1] * d[:, 1] / b**2)
+    C = center[0] ** 2 / a**2 + center[1] ** 2 / b**2 - 1.0
+    q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(B * B - 4 * A * C, 0.0)), B))
+    rho = np.maximum(q / A, np.divide(C, q, out=np.zeros_like(q), where=q != 0))
+    rho = np.maximum(rho, 0.0)
+    return np.minimum(rho, r), ellipse_normal(a, b, center + rho[:, None] * d)
+
+
+def ellipse_normal(a, b, p):
+    nu = np.stack([p[..., 0] / a**2, p[..., 1] / b**2], axis=-1)
+    return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+
+
+class TestRayExtents:
+    R = 0.3
+    THETA = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+    DIRS = np.stack([np.cos(THETA), np.sin(THETA)], axis=1)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0)])
+    def test_matches_conic_crossings(self, a, b):
+        # from every net point (normal taken there, so tangent rays are
+        # left out) and from interior points (normal at the exit)
+        curve = geometry.ellipse(a, b)
+        net = curve.point(boundary_net(curve, 0.15))
+        inner = np.array([[0.0, 0.0], [0.3 * a, 0.2 * b], [0.9 * a, 0.1 * b],
+                          [-0.2 * a, -0.95 * b], [0.5 * a, 0.8 * b]])
+        checked = 0
+        for center, on_curve in [(c, True) for c in net] + [(c, False) for c in inner]:
+            got = _ray_extents(curve, center, self.THETA, self.R)
+            want, nu = conic_extents(a, b, center, self.THETA, self.R)
+            if on_curve:
+                nu = ellipse_normal(a, b, center)
+            dn = np.abs(np.sum(self.DIRS * nu, axis=-1))
+            clear = dn > 1e-9
+            assert np.all(np.abs(got - want)[clear] <= 1e-10 * self.R)
+            assert np.all(got[~clear] < 1e-7)
+            checked += np.sum(clear)
+        assert checked > 0.9 * 96 * (len(net) + len(inner))
+
+    def test_exit_on_a_probe_node_counts_once(self):
+        # from gamma(pi/3), ray 86 leaves the unit disk exactly at the probe
+        # node t = pi/4, shared by two probe segments
+        curve = geometry.disk()
+        center = curve.point(np.array([np.pi / 3]))[0]
+        assert np.pi / 4 in curve.probe_t
+        got = _ray_extents(curve, center, self.THETA, self.R)
+        assert abs(got[86] - 2 * np.sin(np.pi / 24)) <= 1e-10 * self.R
+
+    def test_tangent_rays_leave_at_once(self):
+        # rays 40 and 88 from gamma(pi/3) are tangent to the unit circle:
+        # the sign of d . nu at the center is round-off, the extent is not r
+        curve = geometry.disk()
+        center = curve.point(np.array([np.pi / 3]))[0]
+        nu = curve.normal(np.array([np.pi / 3]))[0]
+        assert np.all(np.abs(self.DIRS[[40, 88]] @ nu) < 1e-15)
+        got = _ray_extents(curve, center, self.THETA, self.R)
+        assert np.all(got[[40, 88]] < 1e-7)
+
+    def test_rays_leaving_at_once_have_zero_extent(self):
+        curve = geometry.disk()
+        t0 = 0.7
+        center = curve.point(np.array([t0]))[0]
+        got = _ray_extents(curve, center, self.THETA, self.R)
+        outward = self.DIRS @ curve.normal(np.array([t0]))[0] > 0
+        assert np.all(got[outward] == 0.0)
+        assert np.all(got[~outward] > 0.0)
+
+    def test_uncapped_from_the_centroid(self):
+        curve = geometry.ellipse(2.0, 1.0)
+        theta = np.linspace(0.3, 0.3 + 2 * np.pi, 512, endpoint=False)
+        got = _ray_extents(curve, curve.centroid, theta, np.inf)
+        want, _ = conic_extents(2.0, 1.0, curve.centroid, theta, np.inf)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestSolidMasses:
     def test_clipped_equals_full_when_interior(self, disk_spectrum):
         # ball fully inside the domain: clipping is inactive
@@ -235,6 +317,35 @@ class TestSolidMasses:
         )
         assert field.points == 960
         assert abs(got - want) < 2e-3 * want
+
+    def test_clipped_ball_makes_no_foot_point_query(self, monkeypatch):
+        # the rays are clipped on the curve parameter and the center's side
+        # comes from its rays, so nothing is projected onto the curve
+        calls = []
+        nearest = geometry.BoundaryCurve.nearest_point_many
+
+        def recording(self, x):
+            calls.append(len(np.atleast_2d(x)))
+            return nearest(self, x)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
+        curve = geometry.disk()
+        clipped_ball_mass(
+            UnitField(curve), curve.point(np.array([0.7]))[0], 0.3, n_r=20, n_theta=96
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [1.05, 1.2])
+    def test_exterior_center_raises(self, x):
+        curve = geometry.disk()
+        with pytest.raises(OutOfDomainError):
+            clipped_ball_mass(UnitField(curve), (x, 0.0), 0.3, n_r=20, n_theta=96)
+
+    @pytest.mark.parametrize("r", [0.0, -0.3, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, r):
+        curve = geometry.disk()
+        with pytest.raises(ValueError, match="positive and finite"):
+            clipped_ball_mass(UnitField(curve), (0.2, 0.0), r, n_r=20, n_theta=96)
 
     def test_solid_mass_v_positive(self, ellipse_spectrum):
         pair = ellipse_spectrum[5]
