@@ -18,6 +18,7 @@ import io
 import json
 import warnings
 from dataclasses import dataclass, field as dfield
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     OutOfTubeError,
     RegionError,
 )
-from .geometry import TubeNeighborhood, reflect_many
+from .geometry import TubeNeighborhood
 
 TWO_PI = 2.0 * np.pi
 
@@ -600,11 +601,32 @@ def v_transform(pair, tube):
     """Fields (v, coefficients) for v = u exp(lambda d), reflected across
     the boundary of the domain of the eigenpair.
 
-    Inside: A = I, b = 2 lambda nu(foot), c = lambda^2 - lambda Lap d. In the
-    reflected exterior collar the coefficients are pushed forward through the
-    reflection map. Valid where |signed offset| < tube half-width; interior
-    points deeper than the tube are also accepted (distance stays smooth
-    there in the convex-reach sense used by the quadratures).
+    Every field call reads one tube frame of its points, from one
+    nearest_point_many call: x = gamma(t) + s nu(t) with s the signed
+    offset, T the unit tangent, nu the outward normal, kappa the curvature,
+    kappa_sigma = kappa'(t) / |gamma'(t)| its arclength derivative, and
+    mu = (1 + kappa s)/(1 - kappa s) the tangential stretch of the
+    reflection Psi: gamma(t) - s nu -> gamma(t) + s nu.
+
+    A point is inside when s <= 0. There v = u exp(-lambda s), A = I,
+    b = 2 lambda nu and c = lambda^2 - lambda Lap d with d = -s and
+    Lap d = -kappa/(1 - kappa d). An exterior point carries v at its mirror
+    point gamma(t) - s nu and the coefficients pushed forward through Psi:
+
+        A = mu^2 T T^T + nu nu^T,
+        b = -div A + (Lap Psi)(mirror) - 2 lambda nu,
+        c = lambda^2 + lambda kappa/(1 - kappa s),
+
+    where, with mu_sigma = 2 s kappa_sigma/(1 - kappa s)^2,
+
+        div A = [2 mu mu_sigma T + kappa (1 - mu^2) nu]/(1 + kappa s),
+        (Lap Psi)(mirror) = 2 s kappa_sigma/(1 - kappa s)^3 T
+                            - 2 kappa/(1 - kappa s)^2 nu.
+
+    Valid where s is at most the tube half-width. Interior points deeper
+    than the tube are also accepted, but c is infinite at a focal point
+    (kappa d = 1), and on the medial axis the frame, and so b, follows
+    whichever foot point the projection finds.
     """
     if not isinstance(tube, TubeNeighborhood):
         raise TypeError("expected a TubeNeighborhood")
@@ -614,128 +636,71 @@ def v_transform(pair, tube):
     lam = pair.eigenvalue
     delta = tube.delta
 
-    def locate(x):
+    def frame(x):
         t, s, _ = curve.nearest_point_many(x)
-        return t, s
+        o = s > 0
+        kappa = curve.curvature(t)
+        mu = np.ones_like(s)
+        mu[o] = (1.0 + kappa[o] * s[o]) / (1.0 - kappa[o] * s[o])
+        return SimpleNamespace(
+            t=t, s=s, outside=o, foot=curve.point(t), T=curve.tangent(t),
+            nu=curve.normal(t), kappa=kappa,
+            kappa_sigma=curve.curvature_derivative(t), mu=mu,
+        )
 
     def v_func(x):
-        t, s = locate(x)
-        if np.any(s > delta * (1 + 1e-12)):
+        f = frame(x)
+        if np.any(f.s > delta * (1 + 1e-12)):
             raise OutOfTubeError("point outside the reflected collar")
-        out_v = np.empty(len(x))
-        out_g = np.empty((len(x), 2))
-        inside = s <= 0
-        if np.any(inside):
-            xi = x[inside]
-            ti, si = t[inside], s[inside]
-            u, gu = pair.evaluate_many(xi)
-            d = -si
-            w = np.exp(lam * d)
-            nu = curve.normal(ti)
-            grad_d = -nu
-            out_v[inside] = u * w
-            out_g[inside] = w[:, None] * (gu + lam * u[:, None] * grad_d)
-        outside = ~inside
-        if np.any(outside):
-            to, so = t[outside], s[outside]
-            # mirror point and interior gradient of v there
-            y = curve.point(to)
-            nu = curve.normal(to)
-            xm = y - so[:, None] * nu
-            u, gu = pair.evaluate_many(xm)
-            w = np.exp(lam * so)
-            gv = w[:, None] * (gu - lam * u[:, None] * nu)
-            out_v[outside] = u * w
-            # grad of v(x') = v(Psi^{-1} x'): pull back through the inverse
-            # reflection Jacobian (mu T T^T - nu nu^T)^{-1}
-            kap = curve.curvature(to)
-            tg = curve.tangent(to)
-            mu = (1.0 + kap * so) / (1.0 - kap * so)
-            gT = np.einsum("pi,pi->p", gv, tg)
-            gN = np.einsum("pi,pi->p", gv, nu)
-            out_g[outside] = (gT / mu)[:, None] * tg - gN[:, None] * nu
-        return out_v, out_g
+        # exterior points read u at their mirror point gamma(t) - s nu, whose
+        # tube coordinates are (t, -s): every point sits at depth d = |s|
+        d = np.abs(f.s)
+        xm = np.where(f.outside[:, None], f.foot - f.s[:, None] * f.nu, x)
+        u, gu = pair._evaluate_tube(xm, f.t, -d)
+        w = np.exp(lam * d)
+        gv = w[:, None] * (gu - lam * u[:, None] * f.nu)
+        # grad of v(x') = v(Psi^{-1} x'): pull back through the inverse
+        # reflection Jacobian (T T^T / mu - nu nu^T) outside
+        gT = np.einsum("pi,pi->p", gv, f.T)
+        gN = np.einsum("pi,pi->p", gv, f.nu)
+        gout = (gT / f.mu)[:, None] * f.T - gN[:, None] * f.nu
+        return u * w, np.where(f.outside[:, None], gout, gv)
 
     def contains(x):
         _, s, _ = curve.nearest_point_many(np.atleast_2d(np.asarray(x, float)))
         return s <= delta
 
     vfield = ScalarField(
-        v_func,
-        contains=contains,
-        description=(
-            f"vtransform[{curve.name}, lam={lam:.6g}]"
-        ),
+        v_func, contains=contains, description=f"vtransform[{curve.name}, lam={lam:.6g}]"
     )
 
     def A_func(x):
-        t, s = locate(x)
-        out = np.empty((len(x), 2, 2))
-        inside = s <= 1e-15
-        out[inside] = np.eye(2)
-        outside = ~inside
-        if np.any(outside):
-            to, so = t[outside], s[outside]
-            kap = curve.curvature(to)
-            tg = curve.tangent(to)
-            nu = curve.normal(to)
-            mu = (1.0 + kap * so) / (1.0 - kap * so)
-            TT = np.einsum("pi,pj->pij", tg, tg)
-            NN = np.einsum("pi,pj->pij", nu, nu)
-            out[outside] = (mu**2)[:, None, None] * TT + NN
-        return out
+        f = frame(x)
+        A = (f.mu**2)[:, None, None] * np.einsum("pi,pj->pij", f.T, f.T)
+        A += np.einsum("pi,pj->pij", f.nu, f.nu)
+        A[~f.outside] = np.eye(2)
+        return A
 
     def c_func(x):
-        t, s = locate(x)
+        f = frame(x)
         # c(x') = c(Psi^{-1} x'): fold the exterior onto the interior offset
-        d = np.abs(s)
-        kap = curve.curvature(t)
-        lap_d = -kap / (1.0 - kap * d)
+        d = np.abs(f.s)
+        lap_d = -f.kappa / (1.0 - f.kappa * d)
         return lam**2 - lam * lap_d
 
     def b_func(x):
-        t, s = locate(x)
-        out = np.empty((len(x), 2))
-        inside = s <= 0
-        if np.any(inside):
-            out[inside] = 2.0 * lam * curve.normal(t[inside])
-        outside = ~inside
-        if np.any(outside):
-            xo = x[outside]
-            to, so = t[outside], s[outside]
-            h = 1e-6 * max(delta, 1e-6)
-            # divergence-of-A term by central differences of the closed form
-            divA = np.zeros((len(xo), 2))
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                Ap = A_func(xo + e)
-                Am = A_func(xo - e)
-                divA += (Ap[:, :, j] - Am[:, :, j]) / (2 * h)
-            # Laplacian of the reflection map at the interior mirror point,
-            # by second differences with a wider step to limit cancellation
-            xm = reflect_many(tube, xo)
-            h2 = 1e-3 * delta
-            lapPsi = np.zeros((len(xo), 2))
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h2
-                lapPsi += (
-                    reflect_many(tube, xm + e)
-                    - 2 * reflect_many(tube, xm)
-                    + reflect_many(tube, xm - e)
-                ) / h2**2
-            # gradient of the reflection applied to the interior drift
-            nu = curve.normal(to)
-            tg = curve.tangent(to)
-            kap = curve.curvature(to)
-            mu = (1.0 + kap * so) / (1.0 - kap * so)
-            b_in = 2.0 * lam * nu
-            bT = np.einsum("pi,pi->p", b_in, tg)
-            bN = np.einsum("pi,pi->p", b_in, nu)
-            pushed = (mu * bT)[:, None] * tg - bN[:, None] * nu
-            out[outside] = -divA + lapPsi + pushed
-        return out
+        f = frame(x)
+        b = 2.0 * lam * f.nu
+        o = f.outside
+        s, kap, ks, mu = f.s[o], f.kappa[o], f.kappa_sigma[o], f.mu[o]
+        tg, nu = f.T[o], f.nu[o]
+        mu_sigma = 2.0 * s * ks / (1.0 - kap * s) ** 2
+        div_A = (2.0 * mu * mu_sigma)[:, None] * tg + (kap * (1.0 - mu**2))[:, None] * nu
+        div_A /= (1.0 + kap * s)[:, None]
+        lap_psi = (2.0 * s * ks / (1.0 - kap * s) ** 3)[:, None] * tg
+        lap_psi -= (2.0 * kap / (1.0 - kap * s) ** 2)[:, None] * nu
+        b[o] = -div_A + lap_psi - 2.0 * lam * nu
+        return b
 
     cfield = CoefficientField(
         A=A_func,

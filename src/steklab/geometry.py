@@ -1,7 +1,8 @@
 """Smooth closed planar curves, tube neighborhoods, distance function, reflection map.
 
 Curves are stored as truncated Fourier series for each coordinate, which keeps
-gamma, gamma', gamma'' spectrally accurate and curvature exact up to truncation.
+gamma and its first three derivatives spectrally accurate, and curvature and
+its arclength derivative exact up to truncation.
 The sign convention for tube offsets is s < 0 inside the domain.
 """
 
@@ -70,7 +71,7 @@ class BoundaryCurve:
             c[0, col] = f[0]
             c[1:len(f) // 2 + 1, col] = f[1::2] - 1j * f[2::2]
         self._k = np.arange(self.n_modes + 1)
-        self._dcoef = [c * (1j**d * self._k[:, None] ** d) for d in range(3)]
+        self._dcoef = [c * (1j**d * self._k[:, None] ** d) for d in range(4)]
 
         self._tgrid = np.linspace(0.0, 2 * np.pi, self.grid_size, endpoint=False)
         self._pgrid = self.point(self._tgrid)
@@ -160,6 +161,15 @@ class BoundaryCurve:
         v, a = self._series(t, 1, 2)
         sp = np.linalg.norm(v, axis=-1)
         return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / sp**3
+
+    def curvature_derivative(self, t):
+        """Arclength derivative of the curvature, kappa'(t) / |gamma'(t)|."""
+        v, a, j = self._series(t, 1, 2, 3)
+        sp2 = np.einsum("...i,...i->...", v, v)
+        va = v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]
+        vj = v[..., 0] * j[..., 1] - v[..., 1] * j[..., 0]
+        dot = np.einsum("...i,...i->...", v, a)
+        return (vj - 3.0 * va * dot / sp2) / sp2**2
 
     # -- global geometric quantities -------------------------------------------
 
@@ -425,32 +435,15 @@ def reflect_many(tube, x):
     return tube.curve.point(t) - s[:, None] * tube.curve.normal(t)
 
 
-def reflection_jacobian(tube, x, step=None):
-    """Jacobian of the reflection map by central finite differences.
-
-    At boundary points the one-sided interior difference is used implicitly by
-    the symmetric stencil since the map extends smoothly across the boundary.
-    """
-    x = np.asarray(x, dtype=float)
-    h = step if step is not None else 1e-5 * tube.delta
-    pts = np.array(
-        [x + [h, 0], x - [h, 0], x + [0, h], x - [0, h]]
-    )
-    imgs = reflect_many(tube, pts)
-    jac = np.empty((2, 2))
-    jac[:, 0] = (imgs[0] - imgs[1]) / (2 * h)
-    jac[:, 1] = (imgs[2] - imgs[3]) / (2 * h)
-    return jac
-
-
 def reflection_jacobian_closed(tube, x):
     """Closed-form reflection Jacobian in tube coordinates.
 
     At offset s the map stretches the tangential direction by
-    (1 - kappa s)/(1 + kappa s) and flips the normal one.
+    (1 - kappa s)/(1 + kappa s) and flips the normal one. A point x of
+    shape (2,) gives a (2, 2) matrix, and P points (P, 2) give (P, 2, 2).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t, s = tube.locate_many(x)
+    x = np.asarray(x, dtype=float)
+    t, s = tube.locate_many(np.atleast_2d(x))
     kappa = tube.curve.curvature(t)
     tg = tube.curve.tangent(t)
     nu = tube.curve.normal(t)
@@ -459,4 +452,4 @@ def reflection_jacobian_closed(tube, x):
         mu[:, None, None] * tg[:, :, None] * tg[:, None, :]
         - nu[:, :, None] * nu[:, None, :]
     )
-    return jac if jac.shape[0] > 1 else jac[0]
+    return jac.reshape(x.shape[:-1] + (2, 2))

@@ -321,19 +321,25 @@ class SteklovEigenpair:
         Memory is bounded for any number of points and any upsampling: points
         go in blocks of _EVAL_CHUNK, and the layer quadrature holds at most
         _LAYER_BUDGET point-source pairs at a time."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._evaluate_tube(np.atleast_2d(np.asarray(x, dtype=float)))
+
+    def _evaluate_tube(self, x, t=None, s=None):
+        """evaluate_many at points x with foot parameters t and signed offsets
+        s; where these are not given, each block of x is projected here."""
         out_v = np.empty(len(x))
         out_g = np.empty((len(x), 2))
         for start in range(0, len(x), _EVAL_CHUNK):
             sl = slice(start, min(start + _EVAL_CHUNK, len(x)))
-            v, g = self._evaluate_block(x[sl])
+            if t is None:
+                tb, sb, _ = self.curve.nearest_point_many(x[sl])
+            else:
+                tb, sb = t[sl], s[sl]
+            v, g = self._evaluate_block(x[sl], tb, sb)
             out_v[sl] = v
             out_g[sl] = g
         return out_v, out_g
 
-    def _evaluate_block(self, x):
-        curve = self.curve
-        t, s, _gap = curve.nearest_point_many(x)
+    def _evaluate_block(self, x, t, s):
         s_taylor, band_out = self.extension_bands()
         if np.any(s > band_out * (1 + 1e-12)):
             raise OutOfDomainError(

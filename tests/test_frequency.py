@@ -30,6 +30,7 @@ from steklab.frequency import (
     zeta_bound_constant,
 )
 from steklab.frequency import _disk_integral, _gauss
+from steklab.steklov import build_dtn, solve_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,66 @@ class TestVTransform:
         _, _, _, coeffs = transformed
         assert 0 < coeffs.alpha <= 1.0 + 1e-9
         assert coeffs.gamma >= 0 and np.isfinite(coeffs.K)
+
+
+def fd_drift(coeffs, tube, lam, x, h):
+    """Oracle: exterior drift -div A + (Lap Psi)(mirror) - 2 lam nu, with
+    div A from central differences of coeffs.A and Lap Psi from second
+    differences of the reflection, Richardson-extrapolated from h and h/2."""
+
+    def once(h):
+        e = np.eye(2) * h
+        div_a = sum(
+            (coeffs.A(x + e[j])[:, :, j] - coeffs.A(x - e[j])[:, :, j]) / (2 * h)
+            for j in range(2)
+        )
+        xm = geometry.reflect_many(tube, x)
+        lap = sum(
+            geometry.reflect_many(tube, xm + e[j]) + geometry.reflect_many(tube, xm - e[j])
+            for j in range(2)
+        )
+        lap = (lap - 4 * geometry.reflect_many(tube, xm)) / h**2
+        return -div_a + lap
+
+    t, _ = tube.locate_many(x)
+    return (4 * once(h / 2) - once(h)) / 3 - 2 * lam * tube.curve.normal(t)
+
+
+class TestVTransformClosedForm:
+    @pytest.mark.parametrize("spec", ["ellipse(2,1)", "perturbed_disk(0.1,3)"])
+    def test_exterior_drift_matches_differences(self, spec):
+        curve = geometry.builtin_curve(spec)
+        pair = solve_spectrum(build_dtn(curve, 512), 9)[8]
+        tube = geometry.TubeNeighborhood(curve, 0.5 * curve.max_tube_halfwidth())
+        _, coeffs = v_transform(pair, tube)
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0, 2 * np.pi, 100)
+        s = rng.uniform(0.1, 0.9, 100) * tube.delta
+        x = curve.point(t) + s[:, None] * curve.normal(t)
+        b = coeffs.b(x)
+        want = fd_drift(coeffs, tube, pair.eigenvalue, x, 1.25e-3)
+        assert np.max(np.abs(b - want)) < 1e-8 * np.max(np.abs(b))
+
+    def test_one_foot_point_query_per_call(self, transformed, monkeypatch):
+        calls = []
+        nearest = geometry.BoundaryCurve.nearest_point_many
+
+        def recording(self, x):
+            calls.append(len(np.atleast_2d(x)))
+            return nearest(self, x)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
+        pair, tube, _, _ = transformed
+        field, coeffs = v_transform(pair, tube)
+        assert len(calls) <= 5
+        t = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        x = pair.curve.point(t) + 0.1 * np.where(t < np.pi, 1, -1)[:, None] * (
+            pair.curve.normal(t)
+        )
+        for call in (coeffs.A, coeffs.b, coeffs.c, field):
+            calls.clear()
+            call(x)
+            assert calls == [8]
 
 
 class TestLemmas:

@@ -70,6 +70,20 @@ class TestBoundaryCurve:
         assert kap[0] == pytest.approx(2.0, rel=1e-12)
         assert kap[1] == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.5, 1.0), (1.0, 3.0)])
+    def test_ellipse_curvature_derivative(self, a, b):
+        # kappa(t) = a b D^{-3/2} with D = a^2 sin^2 t + b^2 cos^2 t and speed
+        # sqrt(D), so d kappa / d sigma = -3 a b (a^2 - b^2) sin t cos t / D^3
+        c = geometry.ellipse(a, b)
+        t = np.linspace(0, 2 * np.pi, 97)
+        D = a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2
+        want = -3 * a * b * (a**2 - b**2) * np.sin(t) * np.cos(t) / D**3
+        assert np.max(np.abs(c.curvature_derivative(t) - want)) < 1e-10
+
+    def test_disk_curvature_derivative_vanishes(self):
+        t = np.linspace(0, 2 * np.pi, 97)
+        assert np.max(np.abs(geometry.disk().curvature_derivative(t))) < 1e-14
+
     def test_outward_normal(self):
         c = geometry.ellipse(2.0, 1.0)
         t = np.linspace(0, 2 * np.pi, 17)
@@ -144,6 +158,18 @@ class TestTube:
         assert val == pytest.approx(-2.0, rel=1e-10)
 
 
+def reflection_jacobian(tube, x, step=None):
+    """Oracle: Jacobian of the reflection map by central differences."""
+    x = np.asarray(x, dtype=float)
+    h = step if step is not None else 1e-5 * tube.delta
+    pts = np.array([x + [h, 0], x - [h, 0], x + [0, h], x - [0, h]])
+    imgs = geometry.reflect_many(tube, pts)
+    jac = np.empty((2, 2))
+    jac[:, 0] = (imgs[0] - imgs[1]) / (2 * h)
+    jac[:, 1] = (imgs[2] - imgs[3]) / (2 * h)
+    return jac
+
+
 class TestReflection:
     def test_involution(self):
         c = geometry.perturbed_disk(0.08, 4)
@@ -170,7 +196,7 @@ class TestReflection:
         # direction (x-axis) flips, so J J^T = diag(1, 2.25)
         tube = geometry.TubeNeighborhood(geometry.disk(), 0.5)
         x = np.array([0.8, 0.0])
-        J = geometry.reflection_jacobian(tube, x)
+        J = reflection_jacobian(tube, x)
         assert np.allclose(J @ J.T, np.diag([1.0, 2.25]), atol=1e-7)
         Jc = geometry.reflection_jacobian_closed(tube, x)
         assert np.allclose(Jc @ Jc.T, np.diag([1.0, 2.25]), atol=1e-12)
@@ -183,7 +209,7 @@ class TestReflection:
             t = rng.uniform(0, 2 * np.pi)
             s = rng.uniform(-0.3, 0.3)
             x = c.point(np.array([t]))[0] + s * c.normal(np.array([t]))[0]
-            J_fd = geometry.reflection_jacobian(tube, x)
+            J_fd = reflection_jacobian(tube, x)
             J_cl = geometry.reflection_jacobian_closed(tube, x)
             assert np.allclose(J_fd, J_cl, atol=1e-6)
 
@@ -193,6 +219,18 @@ class TestReflection:
         x = c.point(np.array([1.234]))[0]
         J = geometry.reflection_jacobian_closed(tube, x)
         assert np.allclose(J @ J.T, np.eye(2), atol=1e-12)
+
+    def test_jacobian_closed_shape_follows_input(self):
+        tube = geometry.TubeNeighborhood(geometry.disk(), 0.5)
+        x = np.array([[0.8, 0.0], [0.0, 1.2]])
+        batch = geometry.reflection_jacobian_closed(tube, x)
+        assert batch.shape == (2, 2, 2)
+        one = geometry.reflection_jacobian_closed(tube, x[:1])
+        assert one.shape == (1, 2, 2)
+        assert np.array_equal(one[0], batch[0])
+        single = geometry.reflection_jacobian_closed(tube, x[1])
+        assert single.shape == (2, 2)
+        assert np.array_equal(single, batch[1])
 
 
 class TestBuiltins:
