@@ -158,7 +158,9 @@ class CoefficientField:
         gamma = 0.0
         if pairs is not None:
             xs, ys = pairs
-            dA = np.abs(self.A(xs) - self.A(ys)).max(axis=(1, 2))
+            # a side that is the probe array itself reuses its A values
+            Ax, Ay = (A if side is probes else self.A(side) for side in pairs)
+            dA = np.abs(Ax - Ay).max(axis=(1, 2))
             dist = np.linalg.norm(xs - ys, axis=1)
             good = dist > 1e-12
             if np.any(good):
@@ -183,24 +185,34 @@ def zero_coefficients():
 
 
 def _refine(quad, n, n_max, tol):
-    """quad(n) for n, 2n, 4n, ... until two successive values agree to
-    relative tol; returns the last value, with a RuntimeWarning giving n and
-    the last relative change if n reached n_max first."""
-    cur = quad(n)
-    change = np.inf
-    while n < n_max:
-        prev, n = cur, 2 * n
-        cur = quad(n)
-        change = abs(cur - prev)
-        if change <= tol * max(abs(cur), 1e-300):
-            return cur
-    warnings.warn(
-        f"quadrature unconverged at n = {n}: last relative change "
-        f"{change / max(abs(cur), 1e-300):.3e} above tol {tol:.1e}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return cur
+    """quad(n, i) for n, 2n, 4n, ... on the entries i still open; an entry
+    closes when its last two values agree to relative tol.
+
+    quad returns the values at order n of the entries i: every entry on the
+    first call, where i = slice(None), then the open ones by index (the
+    convention of nodal._bisect). Returns the last values, a float when quad
+    returns one, with one RuntimeWarning giving n and the largest last
+    relative change if any entry was still open at n_max.
+    """
+    first = quad(n, slice(None))
+    cur = np.array(first, dtype=float, ndmin=1)
+    change = np.full(cur.shape, np.inf)
+    i = np.arange(len(cur))
+    while n < n_max and len(i):
+        n *= 2
+        new = quad(n, i)
+        change[i] = np.abs(new - cur[i])
+        cur[i] = new
+        i = i[~(change[i] <= tol * np.maximum(np.abs(cur[i]), 1e-300))]
+    if len(i):
+        rel = np.max(change[i] / np.maximum(np.abs(cur[i]), 1e-300))
+        warnings.warn(
+            f"quadrature unconverged at n = {n}: last relative change "
+            f"{rel:.3e} above tol {tol:.1e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return cur if np.ndim(first) else float(cur[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -248,7 +260,7 @@ def h_of_r(field, center, r, tol=_QUAD_RTOL, m_start=64, m_max=4096):
         raise ValueError("radius must be positive")
     field.require(_circle_samples(center, r, 32))
 
-    def quad(M):
+    def quad(M, _):
         vals, _ = field(_circle_samples(center, r, M))
         return r * (TWO_PI / M) * float(np.sum(vals**2))
 
@@ -258,7 +270,7 @@ def h_of_r(field, center, r, tol=_QUAD_RTOL, m_start=64, m_max=4096):
 def _disk_integral(integrand, center, r, tol=_QUAD_RTOL, n_start=24, n_max=96):
     M_start = max(64, 2 * n_start)  # angular nodes double with the radial ones
 
-    def quad(n_r):
+    def quad(n_r, _):
         theta = np.linspace(0.0, TWO_PI, M_start * (n_r // n_start), endpoint=False)
         return _polar_integral(integrand, center, theta, r, n_r)
 

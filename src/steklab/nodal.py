@@ -185,48 +185,63 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 # -- boundary mass -------------------------------------------------------------------
 
 
-def _ball_curve_intervals(curve, center, r):
-    """Parameter intervals {t: |gamma(t) - center| < r}, bisected to 1e-13."""
+def _ball_curve_intervals(curve, center, radii):
+    """Parameter intervals {t: |gamma(t) - center| < r} of every radius r,
+    bisected to 1e-13 together, as arrays (owner, a, b): interval k is
+    (a[k], b[k]) in the ball of radius radii[owner[k]]."""
     center = np.asarray(center, dtype=float)
     tg = curve.probe_t
-
-    def dist(t, _):
-        return np.linalg.norm(curve.point(t) - center, axis=1) - r
-
-    g = np.linalg.norm(curve.probe_points - center, axis=1) - r
-    if np.all(g < 0):
-        return [(0.0, TWO_PI)]
-    if np.all(g >= 0):
-        return []
-
+    g = np.linalg.norm(curve.probe_points - center, axis=1) - radii[:, None]
     inside = g < 0
-    i = np.flatnonzero(inside != np.roll(inside, -1))
-    a, b = _bisect(dist, tg[i], tg[i] + TWO_PI / len(tg), g[i], 1e-13)
+    row, col = np.nonzero(inside != np.roll(inside, -1, axis=1))
+    a, b = _bisect(
+        lambda t, i: np.linalg.norm(curve.point(t) - center, axis=1) - radii[row[i]],
+        tg[col], tg[col] + TWO_PI / len(tg), g[row, col], 1e-13,
+    )
     edges = 0.5 * (a + b)
-    # edges alternate; rotate so the list starts with an entry edge
-    if inside[i[0]]:
-        edges = np.append(edges[1:], edges[0] + TWO_PI)
-    return list(zip(edges[0::2], edges[1::2]))
-
-
-def _interval_mass(pair, a, b, tol=1e-11, n_start=32, n_max=512):
-    curve = pair.curve
-
-    def quad(n):
-        nodes, wts = _gauss(n)
-        t = 0.5 * (b - a) * (nodes + 1.0) + a
-        f = pair.trace_at(t % TWO_PI)
-        sp = curve.speed(t % TWO_PI)
-        return 0.5 * (b - a) * float(np.sum(wts * f**2 * sp))
-
-    return _refine(quad, n_start, n_max, tol)
+    owner, lo, hi = [], [], []
+    for j in range(len(radii)):
+        e, c = edges[row == j], col[row == j]
+        if len(c) == 0:
+            e = [0.0, TWO_PI] if inside[j, 0] else []
+        elif inside[j, c[0]]:
+            # edges alternate; rotate so the list starts with an entry edge
+            e = np.append(e[1:], e[0] + TWO_PI)
+        owner += [j] * (len(e) // 2)
+        lo += list(e[0::2])
+        hi += list(e[1::2])
+    return np.array(owner, dtype=int), np.array(lo), np.array(hi)
 
 
 def boundary_mass(pair, center, r):
     """Arclength integral of u^2 over the Euclidean ball of radius r about
-    center, intersected with the boundary curve."""
-    intervals = _ball_curve_intervals(pair.curve, center, r)
-    return sum(_interval_mass(pair, a, b) for a, b in intervals)
+    center, intersected with the boundary curve.
+
+    r is one radius or an array of them, giving one mass per radius. The
+    intervals of all radii are integrated together, one trace_at call per
+    refinement level on the intervals still open. Raises ValueError unless
+    every radius is positive (an infinite one holds the whole curve).
+    """
+    radii = np.asarray(r, dtype=float)
+    if not np.all(radii > 0):
+        raise ValueError(f"ball radii must be positive, got {r}")
+    curve = pair.curve
+    owner, a, b = _ball_curve_intervals(curve, center, radii.reshape(-1))
+    masses = np.zeros(radii.size)
+    if len(owner):
+
+        def quad(n, i):
+            nodes, wts = _gauss(n)
+            half = 0.5 * (b[i] - a[i])
+            t = (half[:, None] * (nodes + 1.0) + a[i][:, None]) % TWO_PI
+            f = pair.trace_at(t.ravel()).reshape(t.shape)
+            sp = curve.speed(t)
+            return half * np.sum(wts * f**2 * sp, axis=1)
+
+        masses = np.bincount(
+            owner, _refine(quad, 32, 512, 1e-11), minlength=radii.size
+        )
+    return masses.reshape(radii.shape) if radii.ndim else float(masses[0])
 
 
 # -- solid masses ----------------------------------------------------------------------
@@ -394,8 +409,8 @@ def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
     Boundary mode integrates u^2 over ball-curve intersections; solid mode
     integrates v^2 over full balls (the transform field must be supplied).
     """
-    if not 0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
+    if not 0 < r_min < r_max < np.inf:
+        raise ValueError("need 0 < r_min < r_max < inf")
     if mode not in ("boundary", "solid"):
         raise ValueError("mode must be 'boundary' or 'solid'")
     if mode == "solid" and vfield is None:
@@ -405,12 +420,10 @@ def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
     n = int(np.floor(k * np.log2(r_max / r_min))) + 1
     radii = r_min * 2.0 ** (np.arange(n) / k)
 
-    masses = np.empty(n)
-    for j, r in enumerate(radii):
-        if mode == "boundary":
-            masses[j] = boundary_mass(pair, center, r)
-        else:
-            masses[j] = solid_mass_v(vfield, center, r)
+    if mode == "boundary":
+        masses = boundary_mass(pair, center, radii)
+    else:
+        masses = np.array([solid_mass_v(vfield, center, r) for r in radii])
     if masses[0] <= 0:
         raise DegenerateCenterError("no mass at the smallest radius")
 

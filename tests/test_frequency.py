@@ -29,7 +29,7 @@ from steklab.frequency import (
     zero_coefficients,
     zeta_bound_constant,
 )
-from steklab.frequency import _disk_integral, _gauss
+from steklab.frequency import _disk_integral, _gauss, _refine
 from steklab.steklov import build_dtn, solve_spectrum
 
 
@@ -265,7 +265,7 @@ class TestVTransformClosedForm:
         monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
         pair, tube, _, _ = transformed
         field, coeffs = v_transform(pair, tube)
-        assert len(calls) <= 5
+        assert len(calls) <= 4
         t = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         x = pair.curve.point(t) + 0.1 * np.where(t < np.pi, 1, -1)[:, None] * (
             pair.curve.normal(t)
@@ -335,6 +335,30 @@ class TestQuadratureRules:
             warnings.simplefilter("error")
             got = _disk_integral(lambda p: p[:, 0] ** 2, np.zeros(2), 1.0)
         assert got == pytest.approx(np.pi / 4.0, rel=1e-13)
+
+    def test_refinement_is_elementwise(self):
+        # entry 0 converges at n = 64; entry 1 changes by 1/n up to n_max
+        rules = [lambda n: 2.0, lambda n: 1.0 + 1.0 / n]
+        orders = {0: [], 1: []}
+
+        def batch(entries):
+            def quad(n, i):
+                ks = np.arange(2)[entries][i]
+                for k in ks:
+                    orders[k].append(n)
+                return np.array([rules[k](n) for k in ks])
+            return quad
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            both = _refine(batch([0, 1]), 32, 512, 1e-12)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "unconverged at n = 512" in str(caught[0].message)
+        assert orders == {0: [32, 64], 1: [32, 64, 128, 256, 512]}
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            alone = [_refine(batch([k]), 32, 512, 1e-12)[0] for k in (0, 1)]
+        assert both.tolist() == alone == [2.0, 1.0 + 1.0 / 512]
 
     def test_gauss_rule_is_read_only(self):
         with pytest.raises(ValueError):

@@ -222,6 +222,11 @@ class TestCli:
                         "--out", str(out)) == 0
         assert out.read_text().startswith("r,mass,doubling_exponent")
 
+    def test_doubling_infinite_rmax_exit_2(self, capsys):
+        assert self.run("doubling", "--domain", "disk", "--nodes", "128",
+                        "--index", "9", "--rmin", "0.005", "--rmax", "inf") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zeros_oracle(self, capsys):
         assert self.run("zeros-oracle", "--count", "50") == 0
         assert "0 violations" in capsys.readouterr().out

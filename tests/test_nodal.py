@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from steklab import geometry
+from steklab import geometry, nodal
 from steklab.errors import DegenerateCenterError, OutOfDomainError, UndersampledError
 from steklab.frequency import v_transform
+from steklab.steklov import SteklovEigenpair, build_dtn, solve_spectrum
 from steklab.nodal import (
+    _ball_curve_intervals,
     _ray_extents,
     boundary_controls_solid_check,
     boundary_mass,
@@ -160,6 +162,94 @@ class TestBoundaryMass:
         first = boundary_mass(pair, center, 0.3)
         assert boundary_mass(pair, center, 0.3) == first
         assert all(orders.count(n) <= 1 for n in orders)
+
+
+# (curve, center: a curve parameter, or None for the centroid, radii)
+BATCH_CASES = [
+    ("disk", None, [0.5, 3.0]),  # misses the curve; holds all of it
+    ("disk", 0.0, [0.05, 0.3, 1.9]),  # one arc, wrapping past t = 0
+    ("ellipse(2,1)", None, [0.5, 3.0]),
+    ("ellipse(2,1)", 0.0, [0.05, 0.3]),
+    ("ellipse(2,1)", np.pi / 2, [0.3, 2.1]),  # r = 2.1 cuts two arcs
+    ("perturbed_disk(0.1,3)", None, [0.5, 3.0]),
+    ("perturbed_disk(0.1,3)", 0.0, [0.05, 0.3, 1.0]),
+]
+
+
+@pytest.fixture(scope="module")
+def batch_pairs():
+    return {
+        spec: solve_spectrum(build_dtn(geometry.builtin_curve(spec), 256), 10)[8]
+        for spec in {case[0] for case in BATCH_CASES}
+    }
+
+
+class TestBoundaryMassBatch:
+    @pytest.mark.parametrize("spec,t0,radii", BATCH_CASES)
+    def test_vector_equals_scalar_calls(self, batch_pairs, spec, t0, radii):
+        pair = batch_pairs[spec]
+        curve = pair.curve
+        center = curve.centroid if t0 is None else curve.point(np.array([t0]))[0]
+        got = boundary_mass(pair, center, np.array(radii))
+        want = [boundary_mass(pair, center, r) for r in radii]
+        assert got.shape == (len(radii),)
+        assert got.tolist() == want
+        if t0 is None:
+            assert want[0] == 0.0
+            assert want[1] == pytest.approx(1.0, rel=1e-10)
+
+    def test_arcs_wrap_past_zero(self, batch_pairs):
+        curve = batch_pairs["ellipse(2,1)"].curve
+        owner, a, b = _ball_curve_intervals(curve, curve.point(np.array([0.0]))[0],
+                                            np.array([0.05, 0.3]))
+        assert owner.tolist() == [0, 1]
+        assert np.all(a < 2 * np.pi) and np.all(b > 2 * np.pi)
+
+    def test_two_arcs_on_the_ellipse(self, batch_pairs):
+        curve = batch_pairs["ellipse(2,1)"].curve
+        center = curve.point(np.array([np.pi / 2]))[0]
+        owner, a, b = _ball_curve_intervals(curve, center, np.array([2.1]))
+        assert owner.tolist() == [0, 0]
+        assert np.allclose(a, [0.223, 4.235], atol=1e-3)
+        assert np.allclose(b, [2.918, 5.190], atol=1e-3)
+        r = np.linalg.norm(curve.point(np.concatenate([a, b])) - center, axis=1)
+        assert np.allclose(r, 2.1, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [np.nan, 0.0, -1.0, [0.3, np.nan], [0.0, 0.3]])
+    def test_radius_must_be_positive(self, disk_spectrum, r):
+        with pytest.raises(ValueError, match="positive"):
+            boundary_mass(disk_spectrum[9], np.array([1.0, 0.0]), r)
+
+    def test_miss_and_infinite_radius(self, disk_spectrum):
+        pair = disk_spectrum[3]
+        miss = boundary_mass(pair, (0.0, 0.0), 0.5)
+        assert type(miss) is float and miss == 0.0
+        assert boundary_mass(pair, (0.0, 0.0), np.inf) == pytest.approx(1.0, rel=1e-10)
+
+    def test_profile_sweeps_all_radii_at_once(self, disk_spectrum, monkeypatch):
+        # one bisection over every edge; one trace_at call per level 32 .. 512
+        bisects, traces = [], []
+        bisect, trace_at = nodal._bisect, SteklovEigenpair.trace_at
+
+        def counting_bisect(*args):
+            bisects.append(len(args[1]))
+            return bisect(*args)
+
+        def counting_trace_at(self, t):
+            traces.append(np.size(t))
+            return trace_at(self, t)
+
+        monkeypatch.setattr(nodal, "_bisect", counting_bisect)
+        monkeypatch.setattr(SteklovEigenpair, "trace_at", counting_trace_at)
+        pair = disk_spectrum[9]
+        rep = doubling_profile(pair, pair.curve.point(np.array([0.3]))[0], 0.005, 0.5)
+        assert len(rep.radii) == 27
+        assert len(bisects) == 1 and bisects[0] == 2 * 27
+        assert 1 <= len(traces) <= int(np.log2(512 / 32)) + 1
+
+    def test_profile_needs_a_finite_r_max(self, disk_spectrum):
+        with pytest.raises(ValueError):
+            doubling_profile(disk_spectrum[9], np.array([1.0, 0.0]), 0.005, np.inf)
 
 
 class UnitField:
