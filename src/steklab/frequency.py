@@ -18,7 +18,6 @@ import io
 import json
 import warnings
 from dataclasses import dataclass, field as dfield
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -247,27 +246,32 @@ def _polar_integral(integrand, center, theta, extent, n_r):
     return float(np.sum(vals * w))
 
 
+def _check_radius(r):
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+
+
 def _circle_samples(center, r, M):
+    _check_radius(r)
     theta = np.linspace(0.0, TWO_PI, M, endpoint=False)
     pts = center + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return pts
 
 
-def h_of_r(field, center, r, tol=_QUAD_RTOL, m_start=64, m_max=4096):
-    """Integral of field^2 over the circle of radius r, adaptively refined."""
+def h_of_r(field, center, r, tol=_QUAD_RTOL):
+    """Integral of field^2 over the circle of radius r, refined from 64 to 4096 nodes."""
     center = np.asarray(center, dtype=float)
-    if r <= 0:
-        raise ValueError("radius must be positive")
     field.require(_circle_samples(center, r, 32))
 
     def quad(M, _):
         vals, _ = field(_circle_samples(center, r, M))
         return r * (TWO_PI / M) * float(np.sum(vals**2))
 
-    return _refine(quad, m_start, m_max, tol)
+    return _refine(quad, 64, 4096, tol)
 
 
 def _disk_integral(integrand, center, r, tol=_QUAD_RTOL, n_start=24, n_max=96):
+    _check_radius(r)
     M_start = max(64, 2 * n_start)  # angular nodes double with the radial ones
 
     def quad(n_r, _):
@@ -289,11 +293,11 @@ def d_of_r(field, center, r, tol=_QUAD_RTOL):
     return _disk_integral(integrand, center, r, tol=tol)
 
 
-def i_of_r(field, coeffs, center, r, tol=_QUAD_RTOL, center_tol=1e-8):
+def i_of_r(field, coeffs, center, r, tol=_QUAD_RTOL):
     """Generalized energy int (grad w . A grad w + w b . grad w + c w^2)."""
     center = np.asarray(center, dtype=float)
     A0 = coeffs.A(center[None, :])[0]
-    if np.max(np.abs(A0 - np.eye(2))) > center_tol:
+    if np.max(np.abs(A0 - np.eye(2))) > 1e-8:
         raise InvalidCenterError(
             f"leading coefficient at the center deviates from the identity by "
             f"{np.max(np.abs(A0 - np.eye(2))):.3e}"
@@ -418,7 +422,7 @@ class MonotonicityReport:
     profile: FrequencyProfile = dfield(repr=False, default=None)
 
 
-def check_monotonicity(profile, tol_rel=1e-6):
+def check_monotonicity(profile):
     """Worst relative decrease of N along the radius grid (harmonic mode)."""
     if profile.mode != "harmonic":
         raise ValueError("monotonicity is asserted for harmonic profiles only")
@@ -431,7 +435,7 @@ def check_monotonicity(profile, tol_rel=1e-6):
     scale = max(np.max(np.abs(N)), 1e-300)
     return MonotonicityReport(
         worst_violation=float(worst),
-        passed=worst <= tol_rel * scale,
+        passed=worst <= 1e-6 * scale,
         profile=profile,
     )
 
@@ -614,7 +618,8 @@ def v_transform(pair, tube):
     the boundary of the domain of the eigenpair.
 
     Every field call reads one tube frame of its points, from one
-    nearest_point_many call: x = gamma(t) + s nu(t) with s the signed
+    nearest_point_many call and one BoundaryCurve.frame call at its foot
+    parameters: x = gamma(t) + s nu(t) with s the signed
     offset, T the unit tangent, nu the outward normal, kappa the curvature,
     kappa_sigma = kappa'(t) / |gamma'(t)| its arclength derivative, and
     mu = (1 + kappa s)/(1 - kappa s) the tangential stretch of the
@@ -648,26 +653,23 @@ def v_transform(pair, tube):
     lam = pair.eigenvalue
     delta = tube.delta
 
-    def frame(x):
+    def tube_frame(x):
         t, s, _ = curve.nearest_point_many(x)
-        o = s > 0
-        kappa = curve.curvature(t)
-        mu = np.ones_like(s)
-        mu[o] = (1.0 + kappa[o] * s[o]) / (1.0 - kappa[o] * s[o])
-        return SimpleNamespace(
-            t=t, s=s, outside=o, foot=curve.point(t), T=curve.tangent(t),
-            nu=curve.normal(t), kappa=kappa,
-            kappa_sigma=curve.curvature_derivative(t), mu=mu,
-        )
+        f = curve.frame(t)
+        f.t, f.s, f.outside = t, s, s > 0
+        o = f.outside
+        f.mu = np.ones_like(s)
+        f.mu[o] = (1.0 + f.kappa[o] * s[o]) / (1.0 - f.kappa[o] * s[o])
+        return f
 
     def v_func(x):
-        f = frame(x)
+        f = tube_frame(x)
         if np.any(f.s > delta * (1 + 1e-12)):
             raise OutOfTubeError("point outside the reflected collar")
         # exterior points read u at their mirror point gamma(t) - s nu, whose
         # tube coordinates are (t, -s): every point sits at depth d = |s|
         d = np.abs(f.s)
-        xm = np.where(f.outside[:, None], f.foot - f.s[:, None] * f.nu, x)
+        xm = np.where(f.outside[:, None], f.point - f.s[:, None] * f.nu, x)
         u, gu = pair._evaluate_tube(xm, f.t, -d)
         w = np.exp(lam * d)
         gv = w[:, None] * (gu - lam * u[:, None] * f.nu)
@@ -687,21 +689,21 @@ def v_transform(pair, tube):
     )
 
     def A_func(x):
-        f = frame(x)
+        f = tube_frame(x)
         A = (f.mu**2)[:, None, None] * np.einsum("pi,pj->pij", f.T, f.T)
         A += np.einsum("pi,pj->pij", f.nu, f.nu)
         A[~f.outside] = np.eye(2)
         return A
 
     def c_func(x):
-        f = frame(x)
+        f = tube_frame(x)
         # c(x') = c(Psi^{-1} x'): fold the exterior onto the interior offset
         d = np.abs(f.s)
         lap_d = -f.kappa / (1.0 - f.kappa * d)
         return lam**2 - lam * lap_d
 
     def b_func(x):
-        f = frame(x)
+        f = tube_frame(x)
         b = 2.0 * lam * f.nu
         o = f.outside
         s, kap, ks, mu = f.s[o], f.kappa[o], f.kappa_sigma[o], f.mu[o]
@@ -726,9 +728,8 @@ def v_transform(pair, tube):
     # record empirical bounds on a boundary-collar probe set
     tt = np.linspace(0, TWO_PI, 64, endpoint=False)
     offs = np.array([-0.6, -0.2, 0.2, 0.6]) * delta
-    probes = np.concatenate(
-        [curve.point(tt) + o * curve.normal(tt) for o in offs]
-    )
+    rim = curve.frame(tt)
+    probes = np.concatenate([rim.point + o * rim.nu for o in offs])
     perm = np.random.default_rng(1).permutation(len(probes))
     alpha, gamma, K = cfield.check_assumptions(probes, (probes, probes[perm]))
     cfield.alpha, cfield.gamma, cfield.K = alpha, gamma, K

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -148,28 +149,35 @@ class BoundaryCurve:
     def speed(self, t):
         return np.linalg.norm(self.velocity(t), axis=-1)
 
-    def tangent(self, t):
-        v = self.velocity(t)
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def normal(self, t):
-        """Outward unit normal for a counterclockwise curve."""
-        tg = self.tangent(t)
-        return np.stack([tg[..., 1], -tg[..., 0]], axis=-1)
-
-    def curvature(self, t):
-        v, a = self._series(t, 1, 2)
+    def frame(self, t):
+        """Namespace of point, speed |gamma'|, unit tangent T, outward normal
+        nu = (T_y, -T_x), curvature kappa and its arclength derivative
+        kappa_sigma = kappa'(t) / |gamma'(t)| at t, from one series evaluation."""
+        g, v, a, j = self._series(t, 0, 1, 2, 3)
         sp = np.linalg.norm(v, axis=-1)
-        return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / sp**3
-
-    def curvature_derivative(self, t):
-        """Arclength derivative of the curvature, kappa'(t) / |gamma'(t)|."""
-        v, a, j = self._series(t, 1, 2, 3)
+        tg = v / sp[..., None]
         sp2 = np.einsum("...i,...i->...", v, v)
         va = v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]
         vj = v[..., 0] * j[..., 1] - v[..., 1] * j[..., 0]
         dot = np.einsum("...i,...i->...", v, a)
-        return (vj - 3.0 * va * dot / sp2) / sp2**2
+        return SimpleNamespace(
+            point=g, speed=sp, T=tg, nu=np.stack([tg[..., 1], -tg[..., 0]], axis=-1),
+            kappa=va / sp**3, kappa_sigma=(vj - 3.0 * va * dot / sp2) / sp2**2,
+        )
+
+    def tangent(self, t):
+        return self.frame(t).T
+
+    def normal(self, t):
+        """Outward unit normal for a counterclockwise curve."""
+        return self.frame(t).nu
+
+    def curvature(self, t):
+        return self.frame(t).kappa
+
+    def curvature_derivative(self, t):
+        """Arclength derivative of the curvature, kappa'(t) / |gamma'(t)|."""
+        return self.frame(t).kappa_sigma
 
     # -- global geometric quantities -------------------------------------------
 
@@ -230,21 +238,17 @@ class BoundaryCurve:
             if np.max(np.abs(step)) < 1e-15:
                 break
         t = np.mod(t, 2 * np.pi)
-        g, v = self._series(t, 0, 1)
-        diff = x - g
-        resid = np.abs(np.einsum("ij,ij->i", diff, v))
+        f = self.frame(t)
+        diff = x - f.point
+        resid = np.abs(np.einsum("ij,ij->i", diff, f.T))
         dist = np.linalg.norm(diff, axis=-1)
-        vnorm = np.linalg.norm(v, axis=-1)
-        # the dot product carries rounding noise of order eps * |x| * |v|,
-        # which dominates the angle test for points very close to the curve
-        floor = self.round_off * vnorm
-        if np.any(resid > np.maximum(1e-6 * dist * vnorm, floor)):
+        # the dot product carries rounding noise of order eps * |x|, which
+        # dominates the angle test for points very close to the curve
+        if np.any(resid > np.maximum(1e-6 * dist, self.round_off)):
             raise FootPointError("foot-point Newton did not converge")
-        tg = v / vnorm[:, None]
-        nu = np.stack([tg[:, 1], -tg[:, 0]], axis=-1)
-        dot = np.einsum("ij,ij->i", diff, nu)
+        dot = np.einsum("ij,ij->i", diff, f.nu)
         s = np.where(dot >= 0, dist, -dist)
-        gap = np.linalg.norm(diff - s[:, None] * nu, axis=-1)
+        gap = np.linalg.norm(diff - s[:, None] * f.nu, axis=-1)
         return t, s, gap
 
     def distance_to_boundary(self, x):
@@ -265,12 +269,13 @@ class BoundaryCurve:
         )
 
     @classmethod
-    def from_json(cls, text, grid_size=1024):
+    def from_json(cls, text):
+        """The curve of a to_json text; ValueError if a coefficient list is missing."""
         data = json.loads(text)
-        return cls(
-            data["fourier_x"], data["fourier_y"], name=data.get("name", ""),
-            grid_size=grid_size,
-        )
+        for key in ("fourier_x", "fourier_y"):
+            if key not in data:
+                raise ValueError(f"curve JSON has no {key!r}")
+        return cls(data["fourier_x"], data["fourier_y"], name=data.get("name", ""))
 
     def content_hash(self):
         import hashlib
@@ -352,11 +357,10 @@ def curve_from_spec(spec):
 
 def curve_eval(curve, t):
     """Point, tangent, outward normal and signed curvature at parameter t."""
-    t = np.asarray(t, dtype=float)
-    sp = curve.speed(t)
-    if np.any(sp <= _REGULARITY_TOL):
+    f = curve.frame(np.asarray(t, dtype=float))
+    if np.any(f.speed <= _REGULARITY_TOL):
         raise DegenerateCurveError("non-regular point: |gamma'(t)| below tolerance")
-    return curve.point(t), curve.tangent(t), curve.normal(t), curve.curvature(t)
+    return f.point, f.T, f.nu, f.kappa
 
 
 # -- tube neighborhood ----------------------------------------------------------------
@@ -406,8 +410,8 @@ class TubeNeighborhood:
         return TubePoint(float(t[0]), float(s[0]))
 
     def reconstruct(self, tp):
-        t = np.atleast_1d(tp.t_foot)
-        return (self.curve.point(t) + tp.s * self.curve.normal(t))[0]
+        f = self.curve.frame(np.atleast_1d(tp.t_foot))
+        return (f.point + tp.s * f.nu)[0]
 
 
 def signed_distance(tube, x):
@@ -432,7 +436,8 @@ def reflect_many(tube, x):
     """Reflection y + t nu(y) -> y - t nu(y) of each point; an involution."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t, s = tube.locate_many(x)
-    return tube.curve.point(t) - s[:, None] * tube.curve.normal(t)
+    f = tube.curve.frame(t)
+    return f.point - s[:, None] * f.nu
 
 
 def reflection_jacobian_closed(tube, x):
@@ -444,12 +449,10 @@ def reflection_jacobian_closed(tube, x):
     """
     x = np.asarray(x, dtype=float)
     t, s = tube.locate_many(np.atleast_2d(x))
-    kappa = tube.curve.curvature(t)
-    tg = tube.curve.tangent(t)
-    nu = tube.curve.normal(t)
-    mu = (1.0 - kappa * s) / (1.0 + kappa * s)
+    f = tube.curve.frame(t)
+    mu = (1.0 - f.kappa * s) / (1.0 + f.kappa * s)
     jac = (
-        mu[:, None, None] * tg[:, :, None] * tg[:, None, :]
-        - nu[:, :, None] * nu[:, None, :]
+        mu[:, None, None] * f.T[:, :, None] * f.T[:, None, :]
+        - f.nu[:, :, None] * f.nu[:, None, :]
     )
     return jac.reshape(x.shape[:-1] + (2, 2))

@@ -47,9 +47,7 @@ def _log_circulant(N):
     symbol = np.zeros(N)
     nz = m != 0
     symbol[nz] = 1.0 / (2.0 * np.abs(m[nz]))
-    col = np.real(np.fft.ifft(symbol))
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return col[idx]
+    return scipy.linalg.circulant(np.real(np.fft.ifft(symbol)))
 
 
 class DtnDiscretization:
@@ -60,23 +58,14 @@ class DtnDiscretization:
             raise ValueError("node count must be even and at least 64")
         self.curve = curve
         self.N = N
-        self.t = np.linspace(0.0, TWO_PI, N, endpoint=False)
-        self.points = curve.point(self.t)
-        self.speed = curve.speed(self.t)
-        self.tangents = curve.tangent(self.t)
-        self.normals = curve.normal(self.t)
-        self.kappa = curve.curvature(self.t)
+        self.t = t = np.linspace(0.0, TWO_PI, N, endpoint=False)
+        f = curve.frame(t)
+        self.speed = f.speed
+        self.kappa = f.kappa
         self.weights = (TWO_PI / N) * self.speed
-        self.kernel_scale = 2.0 * curve.diameter
+        self.kernel_scale = R = 2.0 * curve.diameter
 
-        self._build()
-
-    def _build(self):
-        N, t = self.N, self.t
-        pts = self.points
-        R = self.kernel_scale
-
-        diff = pts[:, None, :] - pts[None, :, :]
+        diff = f.point[:, None, :] - f.point[None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
         np.fill_diagonal(dist, 1.0)
 
@@ -88,23 +77,23 @@ class DtnDiscretization:
         np.fill_diagonal(Ks, -(1.0 / TWO_PI) * np.log(self.speed) + np.log(R) / TWO_PI)
 
         C = _log_circulant(N)
-        self.S = (C + (TWO_PI / N) * Ks) * self.speed[None, :]
+        S = (C + (TWO_PI / N) * Ks) * self.speed[None, :]
 
         # adjoint double layer: kernel -(1/2pi) (x-y).nu(x)/|x-y|^2, smooth on
         # an analytic curve with diagonal limit -kappa/(4pi)
-        dots = np.einsum("ijk,ik->ij", diff, self.normals)
+        dots = np.einsum("ijk,ik->ij", diff, f.nu)
         Kp = -(1.0 / TWO_PI) * dots / dist**2
         np.fill_diagonal(Kp, -self.kappa / (2.0 * TWO_PI))
-        self.Kprime = Kp * self.speed[None, :] * (TWO_PI / N)
+        Kp = Kp * self.speed[None, :] * (TWO_PI / N)
 
-        cond = np.linalg.cond(self.S)
+        cond = np.linalg.cond(S)
         if not np.isfinite(cond) or cond > 1e12:
             raise ConditioningError(
                 f"single-layer matrix condition number {cond:.3e}; "
                 "rescale the domain away from unit logarithmic capacity"
             )
-        self._S_lu = scipy.linalg.lu_factor(self.S)
-        self.L = (0.5 * np.eye(N) + self.Kprime) @ scipy.linalg.lu_solve(
+        self._S_lu = scipy.linalg.lu_factor(S)
+        self.L = (0.5 * np.eye(N) + Kp) @ scipy.linalg.lu_solve(
             self._S_lu, np.eye(N)
         )
 
@@ -257,13 +246,9 @@ class SteklovEigenpair:
         u_s = np.sum(vals_m[:, 1:] * mrange[None, :] * dpowers, axis=1)
         u_t = np.sum(dvals_m * powers, axis=1)
 
-        v, a = self.curve._series(t, 1, 2)
-        sp = np.linalg.norm(v, axis=-1)
-        tg = v / sp[:, None]
-        nu = np.stack([tg[:, 1], -tg[:, 0]], axis=-1)
-        kap = (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / sp**3
-        H = sp * (1.0 + kap * s)
-        grad = nu * u_s[:, None] + tg * (u_t / H)[:, None]
+        f = self.curve.frame(t)
+        H = f.speed * (1.0 + f.kappa * s)
+        grad = f.nu * u_s[:, None] + f.T * (u_t / H)[:, None]
         return u, grad
 
     # -- layer-potential quadrature ----------------------------------------------
@@ -274,14 +259,13 @@ class SteklovEigenpair:
             dtn = self.dtn
             Nf = dtn.N * factor
             tf = np.linspace(0.0, TWO_PI, Nf, endpoint=False)
-            pts = self.curve.point(tf)
-            sp = self.curve.speed(tf)
+            f = self.curve.frame(tf)
             if factor == 1:
                 sig = self.density
             else:
                 spec = np.fft.fft(self.density)
                 sig = np.fft.ifft(_pad_spectrum(spec, Nf)).real
-            self._cont[key] = (pts, sig * sp * (TWO_PI / Nf))
+            self._cont[key] = (f.point, sig * f.speed * (TWO_PI / Nf))
         return self._cont[key]
 
     def _layer_eval(self, x, factor):
@@ -420,14 +404,9 @@ class SpectrumSlice:
         )
 
     @classmethod
-    def from_json(cls, text, grid_size=1024):
+    def from_json(cls, text):
         data = json.loads(text)
-        curve = BoundaryCurve(
-            data["curve"]["fourier_x"],
-            data["curve"]["fourier_y"],
-            name=data["curve"].get("name", ""),
-            grid_size=grid_size,
-        )
+        curve = BoundaryCurve.from_json(json.dumps(data["curve"]))
         if curve.content_hash() != data["curve_hash"]:
             raise SolverError("curve hash mismatch: stale spectrum cache")
         dtn = build_dtn(curve, data["n_nodes"])
@@ -548,16 +527,16 @@ class InteriorBoundReport:
     constant: float
 
 
-def interior_sup_bound_check(pair, center, radius, n_radial=48, n_angular=128):
+def interior_sup_bound_check(pair, center, radius):
     """Empirical constant in sup_{B(r/2)} |u| <= C (mean of u^2 over B(r))^(1/2)."""
     center = np.asarray(center, dtype=float)
     gap = pair.curve.distance_to_boundary(center[None, :])[0]
     if gap <= radius:
         raise OutOfDomainError("ball not contained in the domain")
 
-    theta = np.linspace(0.0, TWO_PI, n_angular, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     integral = _polar_integral(
-        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, radius, n_radial
+        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, radius, 48
     )
     mean_sq = integral / (np.pi * radius**2)
 

@@ -20,6 +20,10 @@ def test_bench_file(path):
     workloads = [w["name"] for w in spec["workloads"]]
     assert doc["env"]["blas_threads"] == int(doc["OPENBLAS_NUM_THREADS"])
     assert sorted(doc["workloads"]) == sorted(workloads)
+    if "src_lines" in doc:  # older files lack it
+        counts = doc["src_lines"]
+        assert sorted(counts) == ["change", "parent"]
+        assert all(type(n) is int and n > 0 for n in counts.values())
     for name, runs in doc["workloads"].items():
         for side in ("parent", "change"):
             lines = runs[side] + [runs["traced"][side]]

@@ -17,19 +17,23 @@ from steklab.frequency import (
     check_doubling_from_frequency,
     check_hprime_identity,
     check_monotonicity,
+    d_of_r,
     eigen_field,
     energy_comparison_suite,
     frequency_from_doubling,
     frequency_profile,
     generalized_frequency_bound,
     geometric_radii,
+    h_of_r,
     harmonic_polynomial,
+    i_of_r,
     pde_residual,
     v_transform,
     zero_coefficients,
     zeta_bound_constant,
 )
-from steklab.frequency import _disk_integral, _gauss, _refine
+from steklab.frequency import _ball_mean, _disk_integral, _gauss, _refine
+from steklab.nodal import solid_mass_v
 from steklab.steklov import build_dtn, solve_spectrum
 
 
@@ -276,6 +280,49 @@ class TestVTransformClosedForm:
             assert calls == [8]
 
 
+class TestFrameTraffic:
+    """Every layer reads the boundary frame of one BoundaryCurve._series call."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        # series calls made inside a foot-point projection count apart
+        calls = {"projection": 0, "other": 0}
+        projecting = []
+        series = geometry.BoundaryCurve._series
+        nearest = geometry.BoundaryCurve.nearest_point_many
+
+        def counting_series(self, t, *orders):
+            calls["projection" if projecting else "other"] += 1
+            return series(self, t, *orders)
+
+        def counting_nearest(self, x):
+            projecting.append(x)
+            try:
+                return nearest(self, x)
+            finally:
+                projecting.pop()
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "_series", counting_series)
+        monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", counting_nearest)
+        return calls
+
+    def test_one_series_call_per_dtn(self, ellipse_curve, series_calls):
+        build_dtn(ellipse_curve, 128)
+        assert series_calls == {"projection": 0, "other": 1}
+
+    def test_one_frame_per_field_call(self, transformed, series_calls):
+        pair, _, field, coeffs = transformed
+        t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        # offsets in the Taylor band (0.03) and beyond it (0.1), on both sides
+        s = np.tile([-0.1, -0.03, 0.03, 0.1], 4)
+        x = pair.curve.point(t) + s[:, None] * pair.curve.normal(t)
+        for call, most in ((coeffs.A, 1), (coeffs.b, 1), (coeffs.c, 1), (field, 3)):
+            series_calls.update(projection=0, other=0)
+            call(x)
+            assert series_calls["projection"] > 0
+            assert 1 <= series_calls["other"] <= most, call
+
+
 class TestLemmas:
     def test_frequency_from_doubling_harmonic(self, deg3):
         # for |z|^3 the ball mass retention at alpha = 1/4 is alpha^8
@@ -324,6 +371,16 @@ class TestLemmas:
 
 
 class TestQuadratureRules:
+    @pytest.mark.parametrize("r", [-0.5, 0.0, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, deg3, r):
+        quads = (
+            h_of_r, d_of_r, _ball_mean, solid_mass_v,
+            lambda f, c, r: i_of_r(f, zero_coefficients(), c, r),
+        )
+        for quad in quads:
+            with pytest.raises(ValueError, match="positive and finite"):
+                quad(deg3, (0.0, 0.0), r)
+
     def test_unconverged_refinement_warns(self):
         # |x| has a kink on the disk: 96 radial nodes reach 4/3 to 5e-5 only
         with pytest.warns(RuntimeWarning, match="unconverged at n = 96"):

@@ -243,6 +243,17 @@ class TestCli:
         bad.write_text('{"bogus": 1}')
         assert self.run("scaling", "--config", str(bad)) == 2
 
+    @pytest.mark.parametrize("doc,key", [
+        ("{}", "fourier_x"),
+        ('{"fourier_x": [0.0, 1.0, 0.0]}', "fourier_y"),
+    ])
+    def test_malformed_curve_json_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "curve.json"
+        path.write_text(doc)
+        assert self.run("solve", "--domain", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_numerical_error_exit_3(self):
         # sample count below the oscillation guard trips the numerical path
         assert self.run("nodal", "--nodes", "128", "--index", "3",

@@ -15,9 +15,11 @@ pairs and the change in odd ones. Then each tree makes one traced run
 The output holds, per workload, the last line of every run (its result
 JSON, with the seed and whether it ran first), the traced results, and a
 summary of each end-to-end metric: median and quartiles per side and the
-pairs the change won. It also holds the ``env`` line of the first run and,
-as ``OPENBLAS_NUM_THREADS``, the thread count every run reported. The file
-is rewritten after every run, so stopping the script keeps the runs made.
+pairs the change won. It also holds the ``env`` line of the first run,
+as ``OPENBLAS_NUM_THREADS`` the thread count every run reported, and as
+``src_lines`` the total line count of ``src/steklab/*.py`` in each tree.
+The file is rewritten after every run, so stopping the script keeps the
+runs made.
 """
 
 import argparse
@@ -40,6 +42,11 @@ def run_once(tree, workload, seed, seconds, trace):
                          check=True).stdout.splitlines()
     head = next(line for line in out if line.startswith("env "))
     return json.loads(head[4:]), json.loads(out[-1])
+
+
+def src_lines(tree):
+    """Total lines of the package sources ``src/steklab/*.py`` in ``tree``."""
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src/steklab").glob("*.py"))
 
 
 def quartiles(values):
@@ -77,6 +84,7 @@ def main(argv=None):
         "OPENBLAS_NUM_THREADS": None,
         "seconds": seconds,
         "env": None,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": {w: {"parent": [], "change": [], "traced": {}} for w in names},
     }
 
