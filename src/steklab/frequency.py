@@ -45,11 +45,10 @@ class ScalarField:
     (P, 2) array to a boolean mask; None means valid on the whole plane.
     """
 
-    def __init__(self, func, contains=None, description="", dimension=2):
+    def __init__(self, func, contains=None, description=""):
         self._func = func
         self._contains = contains
         self.description = description
-        self.dimension = dimension
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -67,10 +66,10 @@ class ScalarField:
                 f"evaluation points leave the validity region of {self.description!r}"
             )
 
-    def gradient_check(self, probes, step=1e-5, scale=1.0):
-        """Worst deviation of the stored gradient from central differences."""
+    def gradient_check(self, probes):
+        """Worst gap between the stored gradient and step-1e-5 central differences."""
         probes = np.atleast_2d(probes)
-        h = step * scale
+        h = 1e-5
         _, g = self(probes)
         worst = 0.0
         for axis in range(2):
@@ -258,7 +257,7 @@ def _circle_samples(center, r, M):
     return pts
 
 
-def h_of_r(field, center, r, tol=_QUAD_RTOL):
+def h_of_r(field, center, r):
     """Integral of field^2 over the circle of radius r, refined from 64 to 4096 nodes."""
     center = np.asarray(center, dtype=float)
     field.require(_circle_samples(center, r, 32))
@@ -267,21 +266,21 @@ def h_of_r(field, center, r, tol=_QUAD_RTOL):
         vals, _ = field(_circle_samples(center, r, M))
         return r * (TWO_PI / M) * float(np.sum(vals**2))
 
-    return _refine(quad, 64, 4096, tol)
+    return _refine(quad, 64, 4096, _QUAD_RTOL)
 
 
-def _disk_integral(integrand, center, r, tol=_QUAD_RTOL, n_start=24, n_max=96):
+def _disk_integral(integrand, center, r, tol=_QUAD_RTOL):
     _check_radius(r)
-    M_start = max(64, 2 * n_start)  # angular nodes double with the radial ones
+    # 24 to 96 radial nodes; the 64 angular nodes double with the radial ones
 
     def quad(n_r, _):
-        theta = np.linspace(0.0, TWO_PI, M_start * (n_r // n_start), endpoint=False)
+        theta = np.linspace(0.0, TWO_PI, 64 * (n_r // 24), endpoint=False)
         return _polar_integral(integrand, center, theta, r, n_r)
 
-    return _refine(quad, n_start, n_max, tol)
+    return _refine(quad, 24, 96, tol)
 
 
-def d_of_r(field, center, r, tol=_QUAD_RTOL):
+def d_of_r(field, center, r):
     """Dirichlet energy of the field over the disk of radius r."""
     center = np.asarray(center, dtype=float)
     field.require(_circle_samples(center, r, 32))
@@ -290,10 +289,10 @@ def d_of_r(field, center, r, tol=_QUAD_RTOL):
         _, g = field(pts)
         return np.sum(g**2, axis=1)
 
-    return _disk_integral(integrand, center, r, tol=tol)
+    return _disk_integral(integrand, center, r)
 
 
-def i_of_r(field, coeffs, center, r, tol=_QUAD_RTOL):
+def i_of_r(field, coeffs, center, r):
     """Generalized energy int (grad w . A grad w + w b . grad w + c w^2)."""
     center = np.asarray(center, dtype=float)
     A0 = coeffs.A(center[None, :])[0]
@@ -312,7 +311,7 @@ def i_of_r(field, coeffs, center, r, tol=_QUAD_RTOL):
         quad = np.einsum("pi,pij,pj->p", g, A, g)
         return quad + v * np.einsum("pi,pi->p", b, g) + c * v**2
 
-    return _disk_integral(integrand, center, r, tol=tol)
+    return _disk_integral(integrand, center, r)
 
 
 # -- frequency profiles -----------------------------------------------------------
@@ -373,28 +372,29 @@ class FrequencyProfile:
         )
 
 
-def geometric_radii(r_min, r_max, ratio=2 ** 0.125):
-    """Geometric radius grid from r_min up to and including about r_max."""
+def geometric_radii(r_min, r_max):
+    """Radii r_min 2^(k/8) from r_min up to and including about r_max."""
     if not 0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
+    ratio = 2 ** 0.125
     n = int(np.floor(np.log(r_max / r_min) / np.log(ratio))) + 1
     return r_min * ratio ** np.arange(n)
 
 
-def frequency_profile(field, center, radii, coeffs=None, tol=_QUAD_RTOL):
+def frequency_profile(field, center, radii, coeffs=None):
     """Frequency profile over a radius grid; truncated at the first H <= 0."""
     center = np.asarray(center, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
     Hs, Ds, Is, Ns = [], [], [], []
     for r in radii:
-        H = h_of_r(field, center, r, tol=tol)
+        H = h_of_r(field, center, r)
         if H <= _H_FLOOR:
             break
-        D = d_of_r(field, center, r, tol=tol)
+        D = d_of_r(field, center, r)
         if coeffs is None:
             I = D
         else:
-            I = i_of_r(field, coeffs, center, r, tol=tol)
+            I = i_of_r(field, coeffs, center, r)
         Hs.append(H)
         Ds.append(D)
         Is.append(I)
@@ -544,7 +544,7 @@ def frequency_from_doubling(field, center, r, alpha, theta, kappa, beta=None):
     if not 0 < alpha < theta < 1:
         raise ValueError("need 0 < alpha < theta < 1")
     center = np.asarray(center, dtype=float)
-    n = field.dimension
+    n = 2  # dimension of the plane
     mean_r = _ball_mean(field, center, r)
     mean_ar = _ball_mean(field, center, alpha * r)
     if mean_ar < kappa * mean_r * (1 - 1e-12):

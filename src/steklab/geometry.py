@@ -59,6 +59,8 @@ class BoundaryCurve:
     def __init__(self, fourier_x, fourier_y, name="", grid_size=1024):
         self.fourier_x = np.asarray(fourier_x, dtype=float)
         self.fourier_y = np.asarray(fourier_y, dtype=float)
+        if self.fourier_x.ndim != 1 or self.fourier_y.ndim != 1:
+            raise ValueError("each coefficient list must be one-dimensional")
         if len(self.fourier_x) % 2 == 0 or len(self.fourier_y) % 2 == 0:
             raise ValueError("coefficient layout is [a0, a1, b1, ...]: odd length")
         self.name = name
@@ -74,20 +76,23 @@ class BoundaryCurve:
         self._k = np.arange(self.n_modes + 1)
         self._dcoef = [c * (1j**d * self._k[:, None] ** d) for d in range(4)]
 
+        # the grid's frame and KD-tree serve every check and the foot-point seeds
         self._tgrid = np.linspace(0.0, 2 * np.pi, self.grid_size, endpoint=False)
-        self._pgrid = self.point(self._tgrid)
-        v = self.velocity(self._tgrid)
-        sp = np.linalg.norm(v, axis=-1)
-        if np.min(sp) <= _REGULARITY_TOL:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = self.frame(self._tgrid)  # a zero speed is rejected below
+        self._pgrid, self._nugrid = f.point, f.nu
+        if np.min(f.speed) <= _REGULARITY_TOL:
             raise DegenerateCurveError("parametrization is not regular on the grid")
+        self._tree = cKDTree(self._pgrid)
         self._check_simple()
 
         # signed area via 0.5 * integral (x y' - y x') dt, trapezoid is spectral here
         x, y = self._pgrid[:, 0], self._pgrid[:, 1]
+        v = f.velocity
         self.area = 0.5 * np.mean(x * v[:, 1] - y * v[:, 0]) * 2 * np.pi
         if self.area <= 0:
             raise DegenerateCurveError("orientation must be counterclockwise")
-        self.perimeter = float(np.mean(sp) * 2 * np.pi)
+        self.perimeter = float(np.mean(f.speed) * 2 * np.pi)
         self.diameter = float(
             np.max(self._pgrid[:, 0]) - np.min(self._pgrid[:, 0])
         )
@@ -98,36 +103,29 @@ class BoundaryCurve:
         self.centroid = self._pgrid.mean(axis=0)
         self.round_off = 1e-12 * max(self.diameter, 1.0)
 
-        # seed structures for foot-point searches (4x oversampled per design)
-        self._tseed = np.linspace(0.0, 2 * np.pi, 4 * self.grid_size, endpoint=False)
-        self._pseed = self.point(self._tseed)
-        self._tree = cKDTree(self._pseed)
-        self._seed_spacing = 2 * np.pi / len(self._tseed)
-
         self.probe_t = np.linspace(0.0, 2 * np.pi, _PROBE, endpoint=False)
         self.probe_points = self.point(self.probe_t)
         self.probe_t.flags.writeable = False
         self.probe_points.flags.writeable = False
 
-        kappa = self.curvature(self._tgrid)
-        self.max_abs_curvature = float(np.max(np.abs(kappa)))
+        self.max_abs_curvature = float(np.max(np.abs(f.kappa)))
         self._delta_max = None
 
     # -- construction helpers -------------------------------------------------
 
     def _check_simple(self):
-        pts = self._pgrid
-        n = len(pts)
-        p = pts
-        q = np.roll(pts, -1, axis=0)
-        # every segment pair at circular index distance 2 or more; offsets
-        # above n // 2 would repeat these pairs with the segments swapped
-        i = np.arange(n)
-        for off in range(2, n // 2 + 1):
-            j = (i + off) % n
-            hit = _segments_intersect(p[i], q[i], p[j], q[j])
-            if np.any(hit):
-                raise DegenerateCurveError("curve self-intersects on the sample grid")
+        p = self._pgrid
+        q = np.roll(p, -1, axis=0)
+        n = len(p)
+        # if segments i and j cross at X, each start vertex lies within the
+        # longest segment L of X, so the pair is within 2L of each other
+        reach = 2.0 * np.max(np.linalg.norm(q - p, axis=-1))
+        i, j = self._tree.query_pairs(reach, output_type="ndarray").T
+        gap = (j - i) % n
+        far = np.minimum(gap, n - gap) >= 2  # neighbours share a vertex
+        i, j = i[far], j[far]
+        if np.any(_segments_intersect(p[i], q[i], p[j], q[j])):
+            raise DegenerateCurveError("curve self-intersects on the sample grid")
 
     # -- pointwise evaluation --------------------------------------------------
 
@@ -150,8 +148,8 @@ class BoundaryCurve:
         return np.linalg.norm(self.velocity(t), axis=-1)
 
     def frame(self, t):
-        """Namespace of point, speed |gamma'|, unit tangent T, outward normal
-        nu = (T_y, -T_x), curvature kappa and its arclength derivative
+        """Namespace of point, velocity, speed |gamma'|, unit tangent T, outward
+        normal nu = (T_y, -T_x), curvature kappa and its arclength derivative
         kappa_sigma = kappa'(t) / |gamma'(t)| at t, from one series evaluation."""
         g, v, a, j = self._series(t, 0, 1, 2, 3)
         sp = np.linalg.norm(v, axis=-1)
@@ -161,7 +159,8 @@ class BoundaryCurve:
         vj = v[..., 0] * j[..., 1] - v[..., 1] * j[..., 0]
         dot = np.einsum("...i,...i->...", v, a)
         return SimpleNamespace(
-            point=g, speed=sp, T=tg, nu=np.stack([tg[..., 1], -tg[..., 0]], axis=-1),
+            point=g, velocity=v, speed=sp, T=tg,
+            nu=np.stack([tg[..., 1], -tg[..., 0]], axis=-1),
             kappa=va / sp**3, kappa_sigma=(vj - 3.0 * va * dot / sp2) / sp2**2,
         )
 
@@ -189,8 +188,7 @@ class BoundaryCurve:
         """
         if self._delta_max is not None:
             return self._delta_max
-        pts = self._pgrid
-        nu = self.normal(self._tgrid)
+        pts, nu = self._pgrid, self._nugrid
         best = 1.0 / self.max_abs_curvature
         n = len(pts)
         # chunk the pairwise scan to bound memory
@@ -222,8 +220,8 @@ class BoundaryCurve:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         _, idx = self._tree.query(x)
-        t = self._tseed[idx].copy()
-        max_step = 1.5 * self._seed_spacing
+        t = self._tgrid[idx]
+        max_step = 1.5 * 2 * np.pi / self.grid_size
         for _ in range(30):
             g, v, a = self._series(t, 0, 1, 2)
             diff = x - g
@@ -270,8 +268,11 @@ class BoundaryCurve:
 
     @classmethod
     def from_json(cls, text):
-        """The curve of a to_json text; ValueError if a coefficient list is missing."""
+        """The curve of a to_json text; ValueError unless it is a JSON object
+        with both coefficient lists."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("curve JSON must be an object")
         for key in ("fourier_x", "fourier_y"):
             if key not in data:
                 raise ValueError(f"curve JSON has no {key!r}")
@@ -412,11 +413,6 @@ class TubeNeighborhood:
     def reconstruct(self, tp):
         f = self.curve.frame(np.atleast_1d(tp.t_foot))
         return (f.point + tp.s * f.nu)[0]
-
-
-def signed_distance(tube, x):
-    """Tube coordinates of x; d(x) = |s| and the foot point is gamma(t_foot)."""
-    return tube.locate(np.asarray(x, dtype=float))
 
 
 def laplacian_of_distance(tube, x):

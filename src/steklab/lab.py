@@ -311,12 +311,12 @@ class SuiteReport:
         ]
 
 
-def random_harmonic_family(n_cases=20, max_degree=8, seed=42):
-    """Seeded random combinations of harmonic polynomials up to max_degree."""
+def random_harmonic_family(n_cases=20, seed=42):
+    """Seeded random combinations of harmonic polynomials up to degree 8."""
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(n_cases):
-        deg = int(rng.integers(1, max_degree + 1))
+        deg = int(rng.integers(1, 9))
         terms = []
         for k in range(deg + 1):
             a, b = rng.normal(size=2)

@@ -336,13 +336,14 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
     )
 
 
-def domain_mass(pair, n_r=64, n_theta=512):
+def domain_mass(pair):
     """Integral of u^2 over the whole domain by centroid-star quadrature.
 
     Requires the domain to be star-shaped with respect to its centroid: the
     angle of the probe points about it must increase, else RegionError. The
-    n_theta rays start at the angle of gamma(0) and each runs to its one
-    exit from the domain (the ray kernel of clipped_ball_mass, uncapped).
+    512 rays start at the angle of gamma(0) and each runs to its one exit
+    from the domain (the ray kernel of clipped_ball_mass, uncapped), with 64
+    Gauss nodes per ray.
     """
     curve = pair.curve
     center = curve.centroid
@@ -350,10 +351,10 @@ def domain_mass(pair, n_r=64, n_theta=512):
     phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     if np.any(np.diff(phi) <= 0):
         raise RegionError("domain is not star-shaped about its centroid")
-    theta = np.linspace(phi[0], phi[0] + TWO_PI, n_theta, endpoint=False)
+    theta = np.linspace(phi[0], phi[0] + TWO_PI, 512, endpoint=False)
     return _polar_integral(
         lambda p: pair.evaluate_many(p)[0] ** 2,
-        center, theta, _ray_extents(curve, center, theta, np.inf), n_r,
+        center, theta, _ray_extents(curve, center, theta, np.inf), 64,
     )
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from steklab import geometry
 from steklab.errors import (
@@ -107,6 +108,111 @@ class TestBoundaryCurve:
         t = np.linspace(0, 2 * np.pi, 11)
         assert np.allclose(c.point(t), c2.point(t))
         assert c.content_hash() != geometry.disk().content_hash()
+
+
+def crosses_all_offsets(pts):
+    """Oracle: does any pair of segments of the closed polygon pts, at circular
+    index distance 2 or more, cross? Scans every offset, O(n^2)."""
+    n = len(pts)
+    q = np.roll(pts, -1, axis=0)
+    i = np.arange(n)
+    for off in range(2, n // 2 + 1):
+        j = (i + off) % n
+        if np.any(geometry._segments_intersect(pts[i], q[i], pts[j], q[j])):
+            return True
+    return False
+
+
+def random_fourier_curve(rng):
+    """Unit circle plus 2 to 8 random modes of decaying size; about half of
+    these curves cross themselves."""
+    K = int(rng.integers(2, 9))
+    amp = np.repeat(rng.uniform(0.1, 0.6) / np.arange(1, K + 1), 2)
+    fx = np.concatenate([[0.0], amp * rng.normal(size=2 * K)])
+    fy = np.concatenate([[0.0], amp * rng.normal(size=2 * K)])
+    fx[1] += 1.0
+    fy[2] += 1.0
+    return fx, fy
+
+
+class TestSimplicityCheck:
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        """build(fx, fy, grid_size) -> (the constructor rejects the curve as
+        self-intersecting, the oracle finds a crossing on the same grid)."""
+        seen = {}
+        check = geometry.BoundaryCurve._check_simple
+
+        def spy(curve):
+            seen["oracle"] = crosses_all_offsets(curve._pgrid)
+            check(curve)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "_check_simple", spy)
+
+        def build(fx, fy, grid_size=1024):
+            try:
+                geometry.BoundaryCurve(fx, fy, grid_size=grid_size)
+                rejected = False
+            except DegenerateCurveError as exc:  # orientation errors come later
+                rejected = "self-intersects" in str(exc)
+            return rejected, seen.pop("oracle")
+
+        return build
+
+    @pytest.mark.parametrize("fx, fy, crosses", [
+        # r = 1/2 + cos t: the inner loop passes the origin twice
+        ([0.5, 0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.5, 0.0, 0.5], True),
+        ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0], True),
+        ([0.0, 10.0, 0.0], [0.0, 0.0, 0.05], False),
+    ], ids=["limacon", "figure-eight", "thin-ellipse"])
+    def test_named_curves_match_oracle(self, verdicts, fx, fy, crosses):
+        assert verdicts(fx, fy) == (crosses, crosses)
+
+    def test_random_curves_match_oracle(self, verdicts):
+        rng = np.random.default_rng(7)
+        got = [verdicts(*random_fourier_curve(rng), grid_size=256) for _ in range(120)]
+        assert [ctor for ctor, _ in got] == [oracle for _, oracle in got]
+        assert 20 <= sum(ctor for ctor, _ in got) <= 100  # both kinds occur
+
+    def test_construction_traffic(self, monkeypatch):
+        sizes = []
+        series = geometry.BoundaryCurve._series
+
+        def counted(curve, t, *orders):
+            sizes.append(np.size(t))
+            return series(curve, t, *orders)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "_series", counted)
+        c = geometry.ellipse(2.0, 1.0)
+        assert sizes == [1024, len(c.probe_t)]  # the grid frame, the probe table
+        sizes.clear()
+        c.max_tube_halfwidth()
+        assert sizes == []
+
+
+class TestFootPoints:
+    def test_disk_offsets(self):
+        r = np.linspace(0.05, 1.45, 29)
+        theta = np.linspace(0, 2 * np.pi, 61, endpoint=False) + 0.1  # off the grid
+        R, TH = np.meshgrid(r, theta)
+        x = np.stack([R * np.cos(TH), R * np.sin(TH)], axis=-1).reshape(-1, 2)
+        _, s, _ = geometry.disk().nearest_point_many(x)
+        assert np.max(np.abs(s - (np.linalg.norm(x, axis=1) - 1.0))) <= 1e-14
+
+    def test_ellipse_feet_within_reach(self):
+        c = geometry.ellipse(2.0, 1.0)
+        rng = np.random.default_rng(3)
+        t0 = rng.uniform(0, 2 * np.pi, 2000)
+        s0 = rng.uniform(-0.98, 0.98, 2000) * c.max_tube_halfwidth()
+        f0 = c.frame(t0)
+        x = f0.point + s0[:, None] * f0.nu
+        t, s, _ = c.nearest_point_many(x)
+        f = c.frame(t)
+        assert np.max(np.abs(np.einsum("ij,ij->i", x - f.point, f.T))) <= 1e-12
+        dense = c.point(np.linspace(0, 2 * np.pi, 65536, endpoint=False))
+        nearest, _ = cKDTree(dense).query(x)
+        assert np.all(np.abs(s) <= nearest + 1e-9)
+        assert np.max(np.abs(s - s0)) <= 1e-12
 
 
 class TestTube:

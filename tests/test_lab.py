@@ -246,6 +246,11 @@ class TestCli:
     @pytest.mark.parametrize("doc,key", [
         ("{}", "fourier_x"),
         ('{"fourier_x": [0.0, 1.0, 0.0]}', "fourier_y"),
+        ("5", "object"),
+        ("null", "object"),
+        ('"fourier_x fourier_y"', "object"),
+        ('{"fourier_x": null, "fourier_y": [0, 0, 1]}', "one-dimensional"),
+        ('{"fourier_x": [[0, 1, 0]], "fourier_y": [0, 0, 1]}', "one-dimensional"),
     ])
     def test_malformed_curve_json_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "curve.json"
