@@ -222,18 +222,24 @@ class BoundaryCurve:
         _, idx = self._tree.query(x)
         t = self._tgrid[idx]
         max_step = 1.5 * 2 * np.pi / self.grid_size
+        live = np.arange(len(x))  # points still iterating
         for _ in range(30):
-            g, v, a = self._series(t, 0, 1, 2)
-            diff = x - g
+            g, v, a = self._series(t[live], 0, 1, 2)
+            diff = x[live] - g
             f = np.einsum("ij,ij->i", diff, v)
-            fp = -np.einsum("ij,ij->i", v, v) + np.einsum("ij,ij->i", diff, a)
+            vv = np.einsum("ij,ij->i", v, v)
+            fp = -vv + np.einsum("ij,ij->i", diff, a)
             # fp vanishes on the medial axis (e.g. the disk center); the
             # stationarity residual f is zero there too, so hold position
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(np.abs(fp) > 1e-14, f / fp, 0.0)
             np.clip(step, -max_step, max_step, out=step)
-            t -= step
-            if np.max(np.abs(step)) < 1e-15:
+            t[live] -= step
+            # a point is done once its step or its residual reaches rounding
+            # level; near the medial axis the step alone never does
+            tol = 4 * np.finfo(float).eps * np.linalg.norm(diff, axis=1) * np.sqrt(vv)
+            live = live[(np.abs(step) >= 1e-15) & (np.abs(f) > tol)]
+            if not len(live):
                 break
         t = np.mod(t, 2 * np.pi)
         f = self.frame(t)

@@ -34,7 +34,7 @@ _MAX_UPSAMPLE = 16
 _RESOLUTION_FACTOR = 40.0  # target exp(-40) quadrature tail
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
 _EVAL_CHUNK = 4096  # points per foot-point and Taylor block of evaluate_many
-_LAYER_BUDGET = 2**21  # entries of one (points, sources) layer table
+_BLOCK_BUDGET = 2**15  # entries of one layer or Taylor block table: 256 KB stays in L2
 
 
 def _log_circulant(N):
@@ -237,13 +237,19 @@ class SteklovEigenpair:
         """Value and Cartesian gradient of the continuation at tube coords (t, s)."""
         kv, coeff = self._continuation()
         M = coeff.shape[1] // 2
-        both = np.real(np.exp(1j * np.outer(t, kv)) @ coeff)  # (P, 2M)
+        # e^{ikt} = e^{iBqt} e^{irt} with k = Bq + r: about 2 sqrt(K) complex
+        # exps per point in place of K. With t = t1 + t2, t1 on a 2^-41 grid,
+        # k t1 is exact for k < 650 and e^{ikt2} = 1 + ikt2 to 1e-20
+        B = int(np.ceil(np.sqrt(kv[-1] + 1)))
+        q, r = np.divmod(kv, B)
+        k = np.concatenate([B * np.arange(q[-1] + 1), np.arange(B)])
+        t1 = np.round(t * 2.0**41) / 2.0**41
+        e = np.exp(1j * np.outer(t1, k)) * (1.0 + 1j * np.outer(t - t1, k))
+        both = np.real((e[:, q] * e[:, q[-1] + 1 + r]) @ coeff)  # (P, 2M)
         vals_m, dvals_m = both[:, :M], both[:, M:]
-        powers = s[:, None] ** np.arange(M)[None, :]
+        powers = np.cumprod(np.where(np.arange(M) > 0, s[:, None], 1.0), axis=1)
         u = np.sum(vals_m * powers, axis=1)
-        mrange = np.arange(1, M)
-        dpowers = s[:, None] ** (mrange - 1)[None, :]
-        u_s = np.sum(vals_m[:, 1:] * mrange[None, :] * dpowers, axis=1)
+        u_s = np.sum(vals_m[:, 1:] * np.arange(1, M) * powers[:, :-1], axis=1)
         u_t = np.sum(dvals_m * powers, axis=1)
 
         f = self.curve.frame(t)
@@ -273,7 +279,7 @@ class SteklovEigenpair:
         R = self.dtn.kernel_scale
         vals = np.empty(len(x))
         grad = np.empty((len(x), 2))
-        rows = _LAYER_BUDGET // len(pts)
+        rows = max(1, _BLOCK_BUDGET // len(pts))
         for start in range(0, len(x), rows):
             sl = slice(start, start + rows)
             dx = x[sl, :1] - pts[:, 0]  # (rows, Nf)
@@ -303,8 +309,9 @@ class SteklovEigenpair:
         exterior extension band.
 
         Memory is bounded for any number of points and any upsampling: points
-        go in blocks of _EVAL_CHUNK, and the layer quadrature holds at most
-        _LAYER_BUDGET point-source pairs at a time."""
+        go in blocks of _EVAL_CHUNK, and both per-point tables, the layer
+        quadrature's (points, sources) and the Taylor series' (points, modes),
+        hold at most _BLOCK_BUDGET entries at a time."""
         return self._evaluate_tube(np.atleast_2d(np.asarray(x, dtype=float)))
 
     def _evaluate_tube(self, x, t=None, s=None):
@@ -332,10 +339,12 @@ class SteklovEigenpair:
         vals = np.empty(len(x))
         grads = np.empty((len(x), 2))
         near = s > -s_taylor  # includes all exterior points
-        if np.any(near):
-            v, g = self._taylor_eval(t[near], s[near])
-            vals[near] = v
-            grads[near] = g
+        idx_near = np.flatnonzero(near)
+        modes = len(self._continuation()[0]) if len(idx_near) else 1
+        rows = max(1, _BLOCK_BUDGET // (2 * modes))
+        for start in range(0, len(idx_near), rows):
+            sub = idx_near[start:start + rows]
+            vals[sub], grads[sub] = self._taylor_eval(t[sub], s[sub])
         far = ~near
         if np.any(far):
             d = -s[far]

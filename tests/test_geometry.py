@@ -214,6 +214,26 @@ class TestFootPoints:
         assert np.all(np.abs(s) <= nearest + 1e-9)
         assert np.max(np.abs(s - s0)) <= 1e-12
 
+    def test_newton_stops_points_at_rounding_level(self, monkeypatch):
+        # near the disk centre round-off keeps the Newton step near
+        # 1e-16/|x|, above the step tolerance; the residual closes it
+        c = geometry.disk()
+        th = np.linspace(0, 2 * np.pi, 64, endpoint=False) + 0.1
+        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+        x = np.concatenate([r * ring for r in (0.05, 0.5, 0.9)])
+        calls = []
+        series = c._series
+
+        def counted(*args):
+            calls.append(1)
+            return series(*args)
+
+        monkeypatch.setattr(c, "_series", counted)
+        t, s, _ = c.nearest_point_many(x)
+        assert len(calls) <= 5
+        assert np.max(np.abs(s - (np.linalg.norm(x, axis=1) - 1.0))) <= 1e-14
+        assert np.max(np.abs(np.angle(np.exp(1j * (t - np.tile(th, 3)))))) <= 1e-14
+
 
 class TestTube:
     def test_disk_reach_is_radius(self):

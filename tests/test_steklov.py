@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steklab import geometry
+from steklab import geometry, steklov
 from steklab.errors import OutOfDomainError, SolverError
 from steklab.steklov import (
     SpectrumSlice,
@@ -195,6 +195,88 @@ class TestExtension:
             tracemalloc.stop()
         assert peak < 128 * 2**20
         assert np.max(np.abs(u - r**40 * pair.trace_at(th))) <= 1e-12
+
+    def test_taylor_memory_bounded(self, ellipse_spectrum):
+        # 4096 points inside the Taylor band of a 256-mode pair; one
+        # (4096, 256) complex phase table and its products peaked at 32 MB
+        import tracemalloc
+
+        pair = ellipse_spectrum[7]
+        s_taylor, _ = pair.extension_bands()
+        t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+        f = pair.curve.frame(t)
+        x = f.point - 0.5 * s_taylor * f.nu
+        pair.evaluate_many(x[:1])  # build the cached tables untraced
+        tracemalloc.start()
+        try:
+            pair.evaluate_many(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "curve, j", [("ellipse", 7), ("ellipse", 40), ("disk", 5), ("disk", 80)]
+    )
+    def test_taylor_tables_match_dense_formula(
+        self, curve, j, disk_spectrum, ellipse_spectrum
+    ):
+        # the two-level e^{ikt} table and the cumulative powers reproduce
+        # one dense np.exp table and float powers of s
+        pair = (disk_spectrum if curve == "disk" else ellipse_spectrum)[j]
+        s_taylor, band_out = pair.extension_bands()
+        rng = np.random.default_rng(j)
+        t = rng.uniform(0, 2 * np.pi, 500)
+        s = rng.uniform(-s_taylor, band_out, 500)
+        u, grad = pair._taylor_eval(t, s)
+
+        kv, coeff = pair._continuation()
+        M = coeff.shape[1] // 2
+        both = np.real(np.exp(1j * np.outer(t, kv)) @ coeff)
+        powers = s[:, None] ** np.arange(M)
+        ref = np.sum(both[:, :M] * powers, axis=1)
+        ref_s = np.sum(both[:, 1:M] * np.arange(1, M) * powers[:, :-1], axis=1)
+        ref_t = np.sum(both[:, M:] * powers, axis=1)
+        f = pair.curve.frame(t)
+        H = f.speed * (1.0 + f.kappa * s)
+        ref_grad = f.nu * ref_s[:, None] + f.T * (ref_t / H)[:, None]
+
+        sup = np.max(np.abs(ref))
+        assert np.max(np.abs(u - ref)) <= 2e-14 * sup
+        assert np.max(np.abs(grad - ref_grad)) <= 2e-14 * pair.eigenvalue * sup
+        if (curve, j) == ("disk", 80):  # lambda = 40 extends to r^40 trace
+            exact = (1.0 + s) ** 40 * pair.trace_at(t)
+            assert np.max(np.abs(u - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [2**10, 8191])
+    def test_block_budget_changes_no_number(
+        self, budget, ellipse_spectrum, monkeypatch
+    ):
+        # Taylor points and layer points at every upsampling factor 1..16
+        # (8191 is below one row of the 16x source table, N = 512)
+        pair = ellipse_spectrum[99]
+        s_taylor, _ = pair.extension_bands()
+        depth = np.concatenate(
+            [np.linspace(0.1, 0.9, 40) * s_taylor, np.geomspace(1.01 * s_taylor, 0.4, 160)]
+        )
+        t = np.linspace(0, 2 * np.pi, len(depth), endpoint=False)
+        f = pair.curve.frame(t)
+        x = f.point - depth[:, None] * f.nu
+        u0, g0 = pair.evaluate_many(x)
+
+        factors = set()
+        layer_eval = pair._layer_eval
+
+        def spy(pts, factor):
+            factors.add(factor)
+            return layer_eval(pts, factor)
+
+        monkeypatch.setattr(pair, "_layer_eval", spy)
+        monkeypatch.setattr(steklov, "_BLOCK_BUDGET", budget)
+        u, g = pair.evaluate_many(x)
+        assert factors == {1, 2, 4, 8, 16}
+        assert np.max(np.abs(u - u0)) <= 1e-14 * np.max(np.abs(u0))
+        assert np.max(np.abs(g - g0)) <= 1e-14 * np.max(np.abs(g0))
 
     def test_outside_band_rejected(self, disk_spectrum):
         pair = disk_spectrum[5]
