@@ -188,7 +188,7 @@ def _refine(quad, n, n_max, tol):
 
     quad returns the values at order n of the entries i: every entry on the
     first call, where i = slice(None), then the open ones by index (the
-    convention of nodal._bisect). Returns the last values, a float when quad
+    convention of nodal._roots). Returns the last values, a float when quad
     returns one, with one RuntimeWarning giving n and the largest last
     relative change if any entry was still open at n_max.
     """

@@ -188,20 +188,17 @@ class BoundaryCurve:
         """
         if self._delta_max is not None:
             return self._delta_max
-        pts, nu = self._pgrid, self._nugrid
+        (x, y), (nx, ny) = self._pgrid.T, self._nugrid.T
         best = 1.0 / self.max_abs_curvature
-        n = len(pts)
-        # chunk the pairwise scan to bound memory
-        chunk = 256
-        for start in range(0, n, chunk):
-            blk = slice(start, min(start + chunk, n))
-            d = pts[None, :, :] - pts[blk][:, None, :]  # (c, n, 2)
-            dist2 = np.einsum("ijk,ijk->ij", d, d)
-            dots = np.abs(np.einsum("ijk,ik->ij", d, nu[blk]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = dist2 / (2.0 * dots)
-            ratio[dots < 1e-14] = np.inf
-            ratio[dist2 < 1e-28] = np.inf
+        # 64-row chunks of the pairwise scan, one coordinate at a time, keep
+        # every temporary a (64, n) table
+        for start in range(0, len(x), 64):
+            blk = slice(start, start + 64)
+            dx, dy = x - x[blk, None], y - y[blk, None]
+            dist2 = dx * dx + dy * dy
+            dots = np.abs(dx * nx[blk, None] + dy * ny[blk, None])
+            ratio = np.divide(dist2, 2.0 * dots, out=np.full(dots.shape, np.inf),
+                              where=(dots >= 1e-14) & (dist2 >= 1e-28))
             best = min(best, float(np.min(ratio)))
         cap = 1.0 / self.max_abs_curvature
         if best > cap * (1.0 - 1e-9):

@@ -1,8 +1,10 @@
 """Boundary nodal sets, mass doubling, and the special-point search.
 
 The nodal set of a Steklov eigenfunction restricted to a closed planar curve
-is a finite set of points; this module counts it by sign-change bisection on
-the trigonometric interpolant of the trace. Mass doubling ratios are measured
+is a finite set of points; this module counts it by the sign changes of the
+trigonometric interpolant of the trace on a grid, each refined by bracketed
+Newton (_roots), the one root kernel that also finds the ball-curve edges
+and the ray exits below. Mass doubling ratios are measured
 both along the boundary (arclength integrals of u^2 over Euclidean balls
 intersected with the curve) and on solid balls, and a net search locates a
 boundary point whose small ball carries a fixed fraction of the total mass.
@@ -27,30 +29,62 @@ from .frequency import _disk_integral, _gauss, _polar_integral, _refine
 
 TWO_PI = 2.0 * np.pi
 _ANGLE_PAD = 1e-6  # radians added to each side of a probe segment's sweep
+_EPS = np.finfo(float).eps
 
 # -- root bracketing ------------------------------------------------------------------
 
 
-def _bisect(g, a, b, ga, tol):
-    """Halve the brackets [a, b] of g together; return their final ends.
+def _roots(gd, a, b, ga, gb, tol):
+    """The root of g in each sign-change bracket [a, b], refined together by
+    bracketed Newton (rtsafe: Press et al., Numerical Recipes, 3rd ed.,
+    section 9.4).
 
-    The two sides are g < 0 and g >= 0; ga is g at a (or any value on a's
-    side), and each end keeps its side. Every step makes one call g(m, i) on
-    the midpoints m of the brackets still open, whose indices are i. A
-    bracket closes when it is at most tol wide or no float lies strictly
-    inside it, so tol = 0 bisects to float resolution.
+    gd(t, i) returns g and g' at the iterates t of the brackets i still
+    open, from one evaluation. The two sides are g < 0 and g >= 0; ga and
+    gb are g at a and b, with a's side the side of ga. Each bracket starts
+    at its false-position point and keeps its sign change; every iterate
+    becomes one of its ends. It takes the Newton step, cut at the far end,
+    unless that step points away from the bracket or is more than half the
+    step before the last one; then it bisects, so a root takes at most about
+    twice bisection's steps.
+    A root closes when
+    - its step is at most max(tol, 4 eps max(|t|, 1)), at the step's end;
+    - g = 0, or no float lies strictly inside its bracket, at the iterate;
+    - a Newton step below sqrt(eps) max(|t|, 1) left |g| no smaller, at the
+      iterate: round-off in g then sets how far Newton can go.
+    So tol = 0 refines to float resolution.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    neg = np.broadcast_to(np.asarray(ga) < 0, a.shape)
-    while True:
-        m = 0.5 * (a + b)
-        i = np.flatnonzero((b - a > tol) & (a < m) & (m < b))
-        if len(i) == 0:
-            return a, b
-        m = m[i]
-        same = (g(m, i) < 0) == neg[i]
-        a[i[same]] = m[same]
-        b[i[~same]] = m[~same]
+    neg = ga < 0
+    x = np.clip(a + (b - a) * (ga / (ga - gb)), a, b)
+    last = b - a
+    prev = last.copy()
+    gabs = np.full(len(x), np.inf)  # |g| at the last iterate
+    fine = np.zeros(len(x), dtype=bool)  # the last step: Newton, below sqrt(eps)
+    i = np.arange(len(x))
+    while len(i):
+        g, dg = gd(x[i], i)
+        same = (g < 0) == neg[i]
+        a[i[same]] = x[i[same]]
+        b[i[~same]] = x[i[~same]]
+        xi, ai, bi = x[i], a[i], b[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = g / dg
+        newton = np.clip(xi - dx, ai, bi)
+        mid = 0.5 * (ai + bi)
+        scale = np.maximum(np.abs(xi), 1.0)
+        thr = np.maximum(tol, 4 * _EPS * scale)
+        take = (newton != xi) | (np.abs(dx) <= thr)
+        take &= np.abs(dx) <= 0.5 * np.abs(prev[i])
+        xn = np.where(take, newton, mid)
+        prev[i], last[i] = last[i], xn - xi
+        stuck = (g == 0) | ~((ai < mid) & (mid < bi))
+        stuck |= fine[i] & (np.abs(g) >= gabs[i])
+        gabs[i] = np.abs(g)
+        fine[i] = take & (np.abs(dx) <= np.sqrt(_EPS) * scale)
+        x[i] = np.where(stuck, xi, xn)
+        i = i[~(stuck | (np.abs(xn - xi) <= thr))]
+    return x
 
 
 # -- boundary zero counting ----------------------------------------------------------
@@ -105,7 +139,8 @@ def nyquist_guard(pair):
 
 
 def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
-    """Sign-change zeros of the trace, refined by bisection in parameter.
+    """Sign-change zeros of the trace, refined by bracketed Newton in
+    parameter on the trace's interpolant and its derivative.
 
     Suspected tangential (even-order) zeros are flagged and not counted:
     - a run of grid samples below flag_rel times the sup of the trace that
@@ -123,8 +158,9 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
     flag_rel must lie in [0, 1), so that the largest sample is never near
     zero; flag_rel = 0 flags nothing.
 
-    Each zero is bisected until its bracket is at most tol wide, or to float
-    resolution; tol = 0 asks for the latter.
+    Each zero stops once its last Newton or bisection step is at most tol,
+    or at float resolution; tol = 0 asks for the latter. tol bounds that
+    last step, not the width of the zero's bracket.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -159,10 +195,10 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
         if crossing[i - 1] and crossing[i]:
             crossing[i - 1] = crossing[i] = False
     i = np.flatnonzero(crossing)
-    a, b = _bisect(
-        lambda t, _: pair.trace_at(t), tg[i], tg[i] + TWO_PI / samples, f[i], tol
-    )
-    zeros = 0.5 * (a + b) % TWO_PI
+    zeros = _roots(
+        lambda t, _: pair.trace_at(t, derivative=True),
+        tg[i], tg[i] + TWO_PI / samples, f[i], f_next[i], tol,
+    ) % TWO_PI
 
     # near-zero grid runs without a crossing: suspected tangential zeros;
     # as the largest sample is never small, every run starts and ends
@@ -187,18 +223,25 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 
 def _ball_curve_intervals(curve, center, radii):
     """Parameter intervals {t: |gamma(t) - center| < r} of every radius r,
-    bisected to 1e-13 together, as arrays (owner, a, b): interval k is
-    (a[k], b[k]) in the ball of radius radii[owner[k]]."""
+    as arrays (owner, a, b): interval k is (a[k], b[k]) in the ball of
+    radius radii[owner[k]]. The edges of all radii are refined together by
+    bracketed Newton on |gamma - center| - r, whose derivative is
+    (gamma - center) . gamma' / |gamma - center|, each until its last step
+    is at most 1e-13."""
     center = np.asarray(center, dtype=float)
     tg = curve.probe_t
     g = np.linalg.norm(curve.probe_points - center, axis=1) - radii[:, None]
     inside = g < 0
     row, col = np.nonzero(inside != np.roll(inside, -1, axis=1))
-    a, b = _bisect(
-        lambda t, i: np.linalg.norm(curve.point(t) - center, axis=1) - radii[row[i]],
-        tg[col], tg[col] + TWO_PI / len(tg), g[row, col], 1e-13,
-    )
-    edges = 0.5 * (a + b)
+
+    def gd(t, i):
+        p, v = curve._series(t, 0, 1)
+        p = p - center
+        dist = np.linalg.norm(p, axis=1)
+        return dist - radii[row[i]], np.einsum("ij,ij->i", p, v) / dist
+
+    edges = _roots(gd, tg[col], tg[col] + TWO_PI / len(tg), g[row, col],
+                   g[row, (col + 1) % len(tg)], 1e-13)
     owner, lo, hi = [], [], []
     for j in range(len(radii)):
         e, c = edges[row == j], col[row == j]
@@ -263,10 +306,14 @@ def _ray_extents(curve, center, theta, r):
     an exit when g rises through it (d . nu > 0). The angle of each probe
     point about the center proposes the rays that may cross each probe
     segment, g on the segment's two nodes (one value per node, shared by
-    its two segments) confirms them, and _bisect refines each crossing to
-    float resolution. Crossings within curve.round_off of the center are
-    dropped, so a ray from a center on the curve takes its side from
-    its first crossing beyond that floor; a ray with none lies outside.
+    its two segments) confirms them, and bracketed Newton on g, with
+    g' = d x gamma', refines each crossing until its last step is at float
+    resolution (_roots with tol = 0). Crossings within curve.round_off of
+    the center are dropped, so a ray from a center on the curve takes its
+    side from its first crossing beyond that floor; a ray with none lies
+    outside. Such a center's own crossing and a near-tangent ray's exit
+    within the same probe segment make no sign change, so that ray, whose
+    extent is below the segment's length, reads 0.
     A center off the curve but nearer to it than a probe segment's sagitta
     (7.4e-8 on the unit disk) sees that segment's arc sweep the long way
     round, which the proposal misses, so its rays that exit there read 0.
@@ -291,13 +338,16 @@ def _ray_extents(curve, center, theta, r):
 
     d = dirs[ray]
     ga = cross(d, rel[seg])
-    keep = (ga < 0) != (cross(d, rel[(seg + 1) % m]) < 0)
-    seg, ray, d, ga = seg[keep], ray[keep], d[keep], ga[keep]
-    a, b = _bisect(
-        lambda t, i: cross(d[i], curve.point(t) - center),
-        curve.probe_t[seg], curve.probe_t[seg] + TWO_PI / m, ga, 0.0,
-    )
-    rho = np.einsum("ij,ij->i", curve.point(0.5 * (a + b)) - center, d)
+    gb = cross(d, rel[(seg + 1) % m])
+    keep = (ga < 0) != (gb < 0)
+    seg, ray, d, ga, gb = seg[keep], ray[keep], d[keep], ga[keep], gb[keep]
+
+    def gd(t, i):
+        p, v = curve._series(t, 0, 1)
+        return cross(d[i], p - center), cross(d[i], v)
+
+    t = _roots(gd, curve.probe_t[seg], curve.probe_t[seg] + TWO_PI / m, ga, gb, 0.0)
+    rho = np.einsum("ij,ij->i", curve.point(t) - center, d)
 
     # the first crossing of each ray beyond the floor decides its extent
     beyond = rho > curve.round_off
@@ -476,7 +526,9 @@ def boundary_net(curve, spacing):
 
 def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
     """Exhaustive rho/2-net search for the boundary point whose rho-ball
-    carries the largest share of the squared mass of the extension."""
+    carries the largest share of the squared mass of the extension. Net
+    masses within 1e-12 (relative) of the largest tie, and the first of
+    them in net order wins."""
     curve = pair.curve
     if rho >= curve.max_tube_halfwidth():
         raise ValueError("net ball radius must stay below the tube half-width")
@@ -485,7 +537,9 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
     masses = np.array(
         [clipped_ball_mass(pair, p, rho, n_r=n_r, n_theta=n_theta) for p in pts]
     )
-    best = int(np.argmax(masses))
+    # the first net point within 1e-12 of the largest mass, so round-off
+    # cannot pick among masses that tie (the disk's rotational symmetry)
+    best = int(np.argmax(masses >= (1.0 - 1e-12) * np.max(masses)))
     if total is None:
         total = domain_mass(pair)
     return SpecialPointReport(

@@ -147,11 +147,17 @@ class SteklovEigenpair:
             self._cont["modes"] = (kvec[keep], fhat[keep])
         return self._cont["modes"]
 
-    def trace_at(self, t):
-        """Trigonometric interpolation of the boundary trace at parameters t."""
+    def trace_at(self, t, derivative=False):
+        """Trigonometric interpolation of the boundary trace at parameters t;
+        with derivative, the pair (trace, its t-derivative), the second from
+        ik times the modes in the same e^{ikt} product."""
         t = np.asarray(t, dtype=float)
         kvec, fhat = self._trace_modes()
-        return np.real(np.exp(1j * np.outer(t, kvec)) @ fhat)
+        e = np.exp(1j * np.outer(t, kvec))
+        if not derivative:
+            return np.real(e @ fhat)
+        out = (e @ np.stack([fhat, 1j * kvec * fhat], axis=1)).real
+        return out[:, 0], out[:, 1]
 
     def trace_spectrum_cutoff(self):
         kvec, _ = self._trace_modes()

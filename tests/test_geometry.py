@@ -190,6 +190,44 @@ class TestSimplicityCheck:
         assert sizes == []
 
 
+def einsum_reach(curve):
+    """The reach scan as written before its column form: the same pairwise
+    bound over (256, n, 2) difference blocks, contracted by einsum."""
+    pts, nu = curve._pgrid, curve._nugrid
+    best = 1.0 / curve.max_abs_curvature
+    for start in range(0, len(pts), 256):
+        blk = slice(start, start + 256)
+        d = pts[None, :, :] - pts[blk][:, None, :]
+        dist2 = np.einsum("ijk,ijk->ij", d, d)
+        dots = np.abs(np.einsum("ijk,ik->ij", d, nu[blk]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = dist2 / (2.0 * dots)
+        ratio[dots < 1e-14] = np.inf
+        ratio[dist2 < 1e-28] = np.inf
+        best = min(best, float(np.min(ratio)))
+    cap = 1.0 / curve.max_abs_curvature
+    return cap if best > cap * (1.0 - 1e-9) else best
+
+
+def simple_random_curves(seed, count):
+    rng = np.random.default_rng(seed)
+    curves = []
+    while len(curves) < count:
+        try:
+            curves.append(geometry.BoundaryCurve(*random_fourier_curve(rng)))
+        except DegenerateCurveError:
+            pass
+    return curves
+
+
+class TestReachScan:
+    def test_matches_the_einsum_form(self):
+        curves = [geometry.disk(), geometry.ellipse(2.0, 1.0),
+                  geometry.ellipse(10.0, 0.05)] + simple_random_curves(11, 5)
+        for c in curves:
+            assert c.max_tube_halfwidth() == einsum_reach(c)
+
+
 class TestFootPoints:
     def test_disk_offsets(self):
         r = np.linspace(0.05, 1.45, 29)

@@ -227,24 +227,25 @@ class TestBoundaryMassBatch:
         assert boundary_mass(pair, (0.0, 0.0), np.inf) == pytest.approx(1.0, rel=1e-10)
 
     def test_profile_sweeps_all_radii_at_once(self, disk_spectrum, monkeypatch):
-        # one bisection over every edge; one trace_at call per level 32 .. 512
-        bisects, traces = [], []
-        bisect, trace_at = nodal._bisect, SteklovEigenpair.trace_at
+        # one root refinement over every edge; one trace_at call per level
+        # 32 .. 512
+        refines, traces = [], []
+        roots, trace_at = nodal._roots, SteklovEigenpair.trace_at
 
-        def counting_bisect(*args):
-            bisects.append(len(args[1]))
-            return bisect(*args)
+        def counting_roots(*args):
+            refines.append(len(args[1]))
+            return roots(*args)
 
         def counting_trace_at(self, t):
             traces.append(np.size(t))
             return trace_at(self, t)
 
-        monkeypatch.setattr(nodal, "_bisect", counting_bisect)
+        monkeypatch.setattr(nodal, "_roots", counting_roots)
         monkeypatch.setattr(SteklovEigenpair, "trace_at", counting_trace_at)
         pair = disk_spectrum[9]
         rep = doubling_profile(pair, pair.curve.point(np.array([0.3]))[0], 0.005, 0.5)
         assert len(rep.radii) == 27
-        assert len(bisects) == 1 and bisects[0] == 2 * 27
+        assert len(refines) == 1 and refines[0] == 2 * 27
         assert 1 <= len(traces) <= int(np.log2(512 / 32)) + 1
 
     def test_profile_needs_a_finite_r_max(self, disk_spectrum):
@@ -360,6 +361,119 @@ class TestRayExtents:
         got = _ray_extents(curve, curve.centroid, theta, np.inf)
         want, _ = conic_extents(2.0, 1.0, curve.centroid, theta, np.inf)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Sizes of the BoundaryCurve._series calls made from here on."""
+    calls = []
+    series = geometry.BoundaryCurve._series
+
+    def counting(curve, t, *orders):
+        calls.append(np.size(t))
+        return series(curve, t, *orders)
+
+    monkeypatch.setattr(geometry.BoundaryCurve, "_series", counting)
+    return calls
+
+
+class TestRootKernel:
+    THETA = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+
+    def test_closes_at_tol_zero_next_to_zero_and_two_pi(self, series_calls):
+        # the crossings at t = 0 and t = 2 pi of rays from gamma(0) on a unit
+        # circle about (0.3, 0.2), where g = d x (gamma - c) carries round-off
+        # of about eps: at tol = 0 every root closes at float resolution, in
+        # far fewer calls than halving toward the denormals would take
+        curve = geometry.BoundaryCurve([0.3, 1.0, 0.0], [0.2, 0.0, 1.0])
+        c = curve.point(np.array([0.0]))[0]
+        h = 2 * np.pi / 8192
+        theta = np.repeat([2 * np.pi / 3, 0.9 * np.pi, np.pi, 4 * np.pi / 3], 2)
+        d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        a = np.tile([-h / 3, 2 * np.pi - 2 * h / 3], 4)
+        b = a + h
+
+        def g_of(t, i):
+            p, v = curve._series(t, 0, 1)
+            p = p - c
+            return (d[i, 0] * p[:, 1] - d[i, 1] * p[:, 0],
+                    d[i, 0] * v[:, 1] - d[i, 1] * v[:, 0])
+
+        def gd(t, i):
+            # a kernel that never closes fails here instead of looping on
+            assert len(series_calls) < 2 * 64
+            return g_of(t, i)
+
+        all_ = np.arange(len(a))
+        ga, gb = g_of(a, all_)[0], g_of(b, all_)[0]
+        series_calls.clear()
+        roots = nodal._roots(gd, a, b, ga, gb, 0.0)
+        assert len(series_calls) < 2 * 64
+        want = np.tile([0.0, 2 * np.pi], 4)
+        assert np.all(np.abs(roots - want) <= 1e-15)
+
+    @pytest.mark.parametrize("spec", ["disk", "ellipse(2,1)"])
+    def test_ray_extents_curve_calls(self, spec, series_calls):
+        # from interior centers and from a center on the curve; the root
+        # refinement plus one call for the exit points
+        curve = geometry.builtin_curve(spec)
+        centers = [curve.centroid, 0.9 * curve.point(np.array([2.0]))[0],
+                   curve.point(np.array([0.7]))[0]]
+        for center in centers:
+            series_calls.clear()
+            _ray_extents(curve, center, self.THETA, 0.3)
+            assert len(series_calls) <= 8
+
+    def test_ray_extents_curve_calls_over_a_net(self, series_calls):
+        # every net point of the ellipse, with its tangent rays (a double
+        # root at the center, where Newton converges linearly) and its own
+        # crossings at shallow angles (where round-off in g stops Newton):
+        # a few take more calls, none past twice bisection's step count
+        curve = geometry.ellipse(2.0, 1.0)
+        counts = []
+        for t in boundary_net(curve, 0.15):
+            center = curve.point(np.array([t]))[0]
+            series_calls.clear()
+            _ray_extents(curve, center, self.THETA, 0.3)
+            counts.append(len(series_calls))
+        bisection = np.log2(2 * np.pi / 8192 / np.finfo(float).eps)  # 41.7 steps
+        assert np.mean(counts) <= 7
+        assert max(counts) <= 2 * bisection
+
+    def test_ball_curve_edges_curve_calls(self, series_calls):
+        # the 27 radii of a doubling profile from 0.005 to 0.5, edges to 1e-13
+        curve = geometry.disk()
+        center = curve.point(np.array([0.3]))[0]
+        radii = 0.005 * 2.0 ** (np.arange(27) / 4)
+        series_calls.clear()
+        owner, a, b = _ball_curve_intervals(curve, center, radii)
+        assert len(series_calls) <= 6
+        assert owner.tolist() == list(range(27))
+        r = np.linalg.norm(curve.point(np.concatenate([a, b])) - center, axis=1)
+        assert np.allclose(r, np.tile(radii, 2), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("r", [0.3, np.inf])
+    def test_near_tangent_rays_from_the_curve(self, r):
+        # rays at 1e-9 ... 1e-1 from the tangent at gamma(0.7) on the unit
+        # disk, both ways and flipped by pi; the exact extent is the chord
+        # max(-2 d . c, 0). An exit in the center's own probe segment makes
+        # no sign change, so that ray reads 0; every other ray, the inward
+        # ones at 1e-3 ... 1e-1 whose exit lies a few segments from the
+        # center's own crossing included, reads its exact extent
+        curve = geometry.disk()
+        center = curve.point(np.array([0.7]))[0]
+        eps = 10.0 ** -np.arange(9.0, 0.0, -1.0)
+        tangent = 0.7 + np.pi / 2
+        theta = np.sort(np.concatenate(
+            [tangent + sign * eps + flip for sign in (-1, 1) for flip in (0, np.pi)]
+        ))
+        d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        want = np.minimum(np.maximum(-2.0 * d @ center, 0.0), r)
+        got = _ray_extents(curve, center, theta, r)
+        read = got > 0
+        assert np.all(np.abs(got - want)[read] <= 1e-12)
+        assert np.all(want[~read] < 2 * np.sin(np.pi / 8192))
+        assert np.sum(read) == 6
 
 
 class TestSolidMasses:
@@ -518,6 +632,23 @@ class TestSpecialPoint:
         assert rep.ball_mass == pytest.approx(np.max(rep.net_masses))
         # the maximizing ball carries mass, bounded by the total
         assert 0 < rep.ball_mass < rep.total_mass
+
+    def test_tied_masses_pick_the_first_net_point(self, disk_spectrum, monkeypatch):
+        # masses equal to 1e-15 in shuffled noise, as rotation gives on the
+        # disk: the lowest tied index wins, whatever the noise's order
+        pair = disk_spectrum[9]
+        n = len(boundary_net(pair.curve, 0.15))
+        rng = np.random.default_rng(5)
+        tied = np.sort(rng.choice(np.arange(3, n), 5, replace=False))
+        for _ in range(4):
+            masses = rng.uniform(0.1, 0.5, n)
+            masses[tied] = 1.0 + 1e-15 * rng.permutation(5)
+            it = iter(masses)
+            monkeypatch.setattr(nodal, "clipped_ball_mass", lambda *a, **k: next(it))
+            rep = special_point_search(pair, 0.3, total=1.0)
+            assert rep.ball_mass == masses[tied[0]]
+            assert np.array_equal(rep.best_point, pair.curve.point(
+                boundary_net(pair.curve, 0.15))[tied[0]])
 
     def test_rho_capped(self, disk_spectrum):
         with pytest.raises(ValueError):

@@ -8,14 +8,18 @@ exported to its own directory:
 For pair i = 0 .. PAIRS - 1 and each workload named in BENCHMARK.json,
 ``perfbench/run.py`` runs once in each tree at seed FIRST_SEED + i for the
 ``run_seconds`` that BENCHMARK.json sets; the parent goes first in even
-pairs and the change in odd ones. Then each tree makes one traced run
-(``--trace 1``) per workload at seed 1. ``perfbench/run.py`` pins
-``OPENBLAS_NUM_THREADS`` itself; its ``env`` line reports the value.
+pairs and the change in odd ones. Then each tree makes TRACED traced runs
+(``--trace 1``) per workload at seed 1, again alternating which side goes
+first. ``perfbench/run.py`` pins ``OPENBLAS_NUM_THREADS`` itself; its
+``env`` line reports the value.
 
 The output holds, per workload, the last line of every run (its result
-JSON, with the seed and whether it ran first), the traced results, and a
-summary of each end-to-end metric: median and quartiles per side and the
-pairs the change won. It also holds the ``env`` line of the first run,
+JSON, with the seed and whether it ran first), every traced run under
+``traced_runs``, and under ``traced`` each side's traced run with the
+lowest ``trace.overhead``: other load on the host slows traced rounds
+more than untraced ones, so that run is the least contended. It also
+holds a summary of each end-to-end metric: median and quartiles per side
+and the pairs the change won, and the ``env`` line of the first run,
 as ``OPENBLAS_NUM_THREADS`` the thread count every run reported, and as
 ``src_lines`` the total line count of ``src/steklab/*.py`` in each tree.
 The file is rewritten after every run, so stopping the script keeps the
@@ -31,6 +35,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED = 2  # traced runs per side and workload
 FIRST_SEED = 101
 
 
@@ -85,7 +90,11 @@ def main(argv=None):
         "seconds": seconds,
         "env": None,
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
-        "workloads": {w: {"parent": [], "change": [], "traced": {}} for w in names},
+        "workloads": {
+            w: {"parent": [], "change": [], "traced": {},
+                "traced_runs": {side: [] for side in SIDES}}
+            for w in names
+        },
     }
 
     def record(side, workload, seed, first, trace):
@@ -98,7 +107,11 @@ def main(argv=None):
         entry = dict(result, seed=seed, first=first)
         runs = doc["workloads"][workload]
         if trace:
-            runs["traced"][side] = entry
+            runs["traced_runs"][side].append(entry)
+            runs["traced"][side] = min(
+                runs["traced_runs"][side],
+                key=lambda r: r["metrics"]["trace.overhead"]["value"],
+            )
         else:
             runs[side].append(entry)
             runs["summary"] = summarize(runs, spec["end_to_end"])
@@ -111,9 +124,11 @@ def main(argv=None):
         for workload in names:
             for k, side in enumerate(order):
                 record(side, workload, FIRST_SEED + i, k == 0, 0)
-    for workload in names:
-        for side in SIDES:
-            record(side, workload, 1, False, 1)
+    for i in range(TRACED):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in names:
+            for k, side in enumerate(order):
+                record(side, workload, 1, k == 0, 1)
     return 0
 
 
