@@ -17,10 +17,6 @@ class FootPointError(SteklabError):
     """Newton iteration for the nearest boundary point did not converge."""
 
 
-class CurvatureSingularityError(SteklabError):
-    """Distance-function denominator 1 - kappa*d fell below tolerance."""
-
-
 class ConditioningError(SteklabError):
     """Boundary-integral matrix too ill-conditioned to invert reliably."""
 

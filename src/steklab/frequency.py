@@ -66,20 +66,6 @@ class ScalarField:
                 f"evaluation points leave the validity region of {self.description!r}"
             )
 
-    def gradient_check(self, probes):
-        """Worst gap between the stored gradient and step-1e-5 central differences."""
-        probes = np.atleast_2d(probes)
-        h = 1e-5
-        _, g = self(probes)
-        worst = 0.0
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            vp, _ = self(probes + e)
-            vm, _ = self(probes - e)
-            worst = max(worst, float(np.max(np.abs((vp - vm) / (2 * h) - g[:, axis]))))
-        return worst
-
 
 def harmonic_polynomial(terms):
     """Plane field sum_k a_k Re z^k + b_k Im z^k from (k, a, b) triples."""
@@ -758,77 +744,3 @@ def pde_residual(field, coeffs, x, step):
     res = div + np.einsum("pi,pi->p", coeffs.b(x), g) + coeffs.c(x) * v
     return res
 
-
-# -- recorded-constant suites -------------------------------------------------------
-
-
-@dataclass
-class EnergyComparisonReport:
-    """Empirical constant in D <= 2 I + C H over a radius grid."""
-
-    radii: np.ndarray
-    constant: float
-    h_positive: bool
-
-
-def energy_comparison_suite(profile):
-    """Records C with D(r) <= 2 I(r) + C H(r) along a generalized profile."""
-    C = 0.0
-    for j in range(len(profile.radii)):
-        deficit = profile.D[j] - 2.0 * profile.I[j]
-        if deficit > 0:
-            C = max(C, deficit / profile.H[j])
-    return EnergyComparisonReport(
-        radii=profile.radii,
-        constant=float(C),
-        h_positive=bool(np.all(profile.H > 0)),
-    )
-
-
-@dataclass
-class GeneralizedFrequencyBoundReport:
-    """Empirical (c1, c2) with N(R1) <= c1 + c2 N(R2) for R1 < R2."""
-
-    c1: float
-    c2: float
-    worst_pair: tuple
-
-
-def generalized_frequency_bound(profiles, c2=1.0):
-    """Records c1 for the fixed slope c2 over a family of profiles."""
-    c1 = 0.0
-    worst = (np.nan, np.nan)
-    for prof in profiles:
-        N = prof.N
-        for j in range(len(N)):
-            for k in range(j + 1, len(N)):
-                need = N[j] - c2 * N[k]
-                if need > c1:
-                    c1 = need
-                    worst = (prof.radii[j], prof.radii[k])
-    return GeneralizedFrequencyBoundReport(c1=float(c1), c2=float(c2), worst_pair=worst)
-
-
-@dataclass
-class ZetaBoundReport:
-    """Empirical C_zeta with N(zeta r) <= C_zeta (1 - log kappa)."""
-
-    kappa: float
-    frequency: float
-    constant: float
-
-
-def zeta_bound_constant(field, coeffs, center, r, zeta):
-    """Records the frequency-from-doubling constant in the generalized case."""
-    center = np.asarray(center, dtype=float)
-    mean_r = _ball_mean(field, center, r)
-    mean_zr = _ball_mean(field, center, zeta * r)
-    kappa = mean_zr / mean_r
-    H = h_of_r(field, center, zeta * r)
-    I = i_of_r(field, coeffs, center, zeta * r)
-    N = zeta * r * I / H
-    return ZetaBoundReport(
-        kappa=float(kappa),
-        frequency=float(N),
-        constant=float(N / (1.0 - np.log(kappa))),
-    )

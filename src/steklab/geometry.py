@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
-    CurvatureSingularityError,
     DegenerateCurveError,
     FootPointError,
     OutOfTubeError,
@@ -141,9 +139,6 @@ class BoundaryCurve:
     def velocity(self, t):
         return self._series(t, 1)[0]
 
-    def acceleration(self, t):
-        return self._series(t, 2)[0]
-
     def speed(self, t):
         return np.linalg.norm(self.velocity(t), axis=-1)
 
@@ -164,19 +159,9 @@ class BoundaryCurve:
             kappa=va / sp**3, kappa_sigma=(vj - 3.0 * va * dot / sp2) / sp2**2,
         )
 
-    def tangent(self, t):
-        return self.frame(t).T
-
     def normal(self, t):
         """Outward unit normal for a counterclockwise curve."""
         return self.frame(t).nu
-
-    def curvature(self, t):
-        return self.frame(t).kappa
-
-    def curvature_derivative(self, t):
-        """Arclength derivative of the curvature, kappa'(t) / |gamma'(t)|."""
-        return self.frame(t).kappa_sigma
 
     # -- global geometric quantities -------------------------------------------
 
@@ -356,29 +341,7 @@ def curve_from_spec(spec):
     return builtin_curve(spec)
 
 
-# -- curve sampling ops ------------------------------------------------------------
-
-
-def curve_eval(curve, t):
-    """Point, tangent, outward normal and signed curvature at parameter t."""
-    f = curve.frame(np.asarray(t, dtype=float))
-    if np.any(f.speed <= _REGULARITY_TOL):
-        raise DegenerateCurveError("non-regular point: |gamma'(t)| below tolerance")
-    return f.point, f.T, f.nu, f.kappa
-
-
 # -- tube neighborhood ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TubePoint:
-    """Tube coordinates of a point: nearest-boundary parameter and signed offset.
-
-    s < 0 inside the domain, s > 0 outside.
-    """
-
-    t_foot: float
-    s: float
 
 
 class TubeNeighborhood:
@@ -409,27 +372,6 @@ class TubeNeighborhood:
             raise FootPointError("inconsistent foot point inside the tube")
         return t, s
 
-    def locate(self, x):
-        t, s = self.locate_many(np.asarray(x, dtype=float)[None, :])
-        return TubePoint(float(t[0]), float(s[0]))
-
-    def reconstruct(self, tp):
-        f = self.curve.frame(np.atleast_1d(tp.t_foot))
-        return (f.point + tp.s * f.nu)[0]
-
-
-def laplacian_of_distance(tube, x):
-    """Delta d at an interior tube point: -kappa/(1 - kappa d) in the plane."""
-    tp = tube.locate(np.asarray(x, dtype=float))
-    if tp.s > 0:
-        raise OutOfTubeError("laplacian_of_distance expects an interior point")
-    d = -tp.s
-    kappa = float(tube.curve.curvature(np.atleast_1d(tp.t_foot))[0])
-    denom = 1.0 - kappa * d
-    if abs(denom) < 1e-12:
-        raise CurvatureSingularityError("1 - kappa*d below tolerance")
-    return -kappa / denom
-
 
 def reflect_many(tube, x):
     """Reflection y + t nu(y) -> y - t nu(y) of each point; an involution."""
@@ -438,20 +380,3 @@ def reflect_many(tube, x):
     f = tube.curve.frame(t)
     return f.point - s[:, None] * f.nu
 
-
-def reflection_jacobian_closed(tube, x):
-    """Closed-form reflection Jacobian in tube coordinates.
-
-    At offset s the map stretches the tangential direction by
-    (1 - kappa s)/(1 + kappa s) and flips the normal one. A point x of
-    shape (2,) gives a (2, 2) matrix, and P points (P, 2) give (P, 2, 2).
-    """
-    x = np.asarray(x, dtype=float)
-    t, s = tube.locate_many(np.atleast_2d(x))
-    f = tube.curve.frame(t)
-    mu = (1.0 - f.kappa * s) / (1.0 + f.kappa * s)
-    jac = (
-        mu[:, None, None] * f.T[:, :, None] * f.T[:, None, :]
-        - f.nu[:, :, None] * f.nu[:, None, :]
-    )
-    return jac.reshape(x.shape[:-1] + (2, 2))

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 

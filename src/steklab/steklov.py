@@ -485,6 +485,8 @@ def solve_spectrum(dtn, count):
     mode's, are returned as exactly 0.
     """
     count = int(count)
+    if count < 1:
+        raise ValueError(f"need at least one eigenpair, got count = {count}")
     if count > dtn.N // 4:
         raise ValueError("requested more eigenpairs than the grid resolves (N/4)")
     A = dtn.symmetrized()

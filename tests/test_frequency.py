@@ -19,10 +19,8 @@ from steklab.frequency import (
     check_monotonicity,
     d_of_r,
     eigen_field,
-    energy_comparison_suite,
     frequency_from_doubling,
     frequency_profile,
-    generalized_frequency_bound,
     geometric_radii,
     h_of_r,
     harmonic_polynomial,
@@ -30,7 +28,6 @@ from steklab.frequency import (
     pde_residual,
     v_transform,
     zero_coefficients,
-    zeta_bound_constant,
 )
 from steklab.frequency import _ball_mean, _disk_integral, _gauss, _refine
 from steklab.nodal import solid_mass_v
@@ -44,9 +41,6 @@ def deg3():
 
 
 class TestScalarField:
-    def test_gradient_check(self, deg3):
-        assert deg3.gradient_check(np.array([0.4, -0.2])) < 1e-7
-
     def test_region(self):
         f = ScalarField(
             lambda x: (x[:, 0], np.tile([1.0, 0.0], (len(x), 1))),
@@ -342,31 +336,6 @@ class TestLemmas:
     def test_chain_frequency(self, deg3):
         rep = chain_frequency_check(deg3, 0.5, base_radius=1.0, n_points=8)
         assert rep.base_frequency == pytest.approx(3.0, abs=1e-8)
-        assert np.isfinite(rep.constant) and rep.constant > 0
-
-    def test_energy_comparison_suite(self, deg3):
-        prof = frequency_profile(
-            deg3, (0.0, 0.0), geometric_radii(0.1, 0.5), coeffs=zero_coefficients()
-        )
-        rep = energy_comparison_suite(prof)
-        # with I = D the deficit D - 2I is negative, so the constant is 0
-        assert rep.constant == 0.0
-        assert rep.h_positive
-
-    def test_generalized_frequency_bound(self, deg3):
-        prof = frequency_profile(
-            deg3, (0.0, 0.0), geometric_radii(0.05, 0.4), coeffs=zero_coefficients()
-        )
-        rep = generalized_frequency_bound([prof], c2=1.0)
-        # constant profile: no pair needs a positive offset
-        assert rep.c1 <= 1e-9
-
-    def test_zeta_bound_constant(self, deg3):
-        rep = zeta_bound_constant(
-            deg3, zero_coefficients(), (0.0, 0.0), 0.4, zeta=0.5
-        )
-        assert rep.frequency == pytest.approx(3.0, abs=1e-8)
-        assert 0 < rep.kappa < 1
         assert np.isfinite(rep.constant) and rep.constant > 0
 
 

@@ -9,6 +9,7 @@ from steklab.errors import (
     DegenerateCurveError,
     OutOfTubeError,
 )
+from steklab.frequency import v_transform
 
 
 class TestFourierEval:
@@ -24,8 +25,6 @@ class TestFourierEval:
         t = np.linspace(0, 2 * np.pi, 7)
         d1 = c.velocity(t)[:, 0]
         assert np.allclose(d1, -np.sin(t), atol=1e-14)
-        d2 = c.acceleration(t)[:, 0]
-        assert np.allclose(d2, -np.cos(t), atol=1e-14)
 
     def test_perturbed_disk_closed_form(self):
         # gamma = r(t) (cos t, sin t) with r = 1 + eps cos(m t)
@@ -34,13 +33,11 @@ class TestFourierEval:
         t = np.linspace(0, 2 * np.pi, 1001)
         r = 1 + eps * np.cos(m * t)
         dr = -eps * m * np.sin(m * t)
-        ddr = -eps * m**2 * np.cos(m * t)
         e = np.stack([np.cos(t), np.sin(t)], axis=-1)
         e_perp = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         want = {
             "point": r[:, None] * e,
             "velocity": dr[:, None] * e + r[:, None] * e_perp,
-            "acceleration": (ddr - r)[:, None] * e + 2 * dr[:, None] * e_perp,
         }
         for name, w in want.items():
             assert np.max(np.abs(getattr(c, name)(t) - w)) <= 1e-14, name
@@ -66,7 +63,7 @@ class TestBoundaryCurve:
     def test_ellipse_curvature_extremes(self):
         c = geometry.ellipse(2.0, 1.0)
         t = np.array([0.0, np.pi / 2])
-        kap = c.curvature(t)
+        kap = c.frame(t).kappa
         # kappa = a b / (a^2 sin^2 + b^2 cos^2)^{3/2}
         assert kap[0] == pytest.approx(2.0, rel=1e-12)
         assert kap[1] == pytest.approx(0.25, rel=1e-12)
@@ -79,11 +76,11 @@ class TestBoundaryCurve:
         t = np.linspace(0, 2 * np.pi, 97)
         D = a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2
         want = -3 * a * b * (a**2 - b**2) * np.sin(t) * np.cos(t) / D**3
-        assert np.max(np.abs(c.curvature_derivative(t) - want)) < 1e-10
+        assert np.max(np.abs(c.frame(t).kappa_sigma - want)) < 1e-10
 
     def test_disk_curvature_derivative_vanishes(self):
         t = np.linspace(0, 2 * np.pi, 97)
-        assert np.max(np.abs(geometry.disk().curvature_derivative(t))) < 1e-14
+        assert np.max(np.abs(geometry.disk().frame(t).kappa_sigma)) < 1e-14
 
     def test_outward_normal(self):
         c = geometry.ellipse(2.0, 1.0)
@@ -294,31 +291,35 @@ class TestTube:
         c = geometry.ellipse(2.0, 1.0)
         tube = geometry.TubeNeighborhood(c, 0.4)
         x = np.array([1.7, 0.0])
-        tp = tube.locate(x)
-        assert tp.s < 0
-        assert np.allclose(tube.reconstruct(tp), x, atol=1e-10)
+        t, s = tube.locate_many(x)
+        assert s[0] < 0
+        f = c.frame(t)
+        assert np.allclose(f.point[0] + s[0] * f.nu[0], x, atol=1e-10)
 
     def test_signed_distance_sign_convention(self):
         c = geometry.disk()
         tube = geometry.TubeNeighborhood(c, 0.5)
-        inside = tube.locate(np.array([0.7, 0.0]))
-        outside = tube.locate(np.array([1.3, 0.0]))
-        assert inside.s == pytest.approx(-0.3, abs=1e-12)
-        assert outside.s == pytest.approx(0.3, abs=1e-12)
+        _, (inside, outside) = tube.locate_many(np.array([[0.7, 0.0], [1.3, 0.0]]))
+        assert inside == pytest.approx(-0.3, abs=1e-12)
+        assert outside == pytest.approx(0.3, abs=1e-12)
 
     def test_out_of_tube_raises(self):
         tube = geometry.TubeNeighborhood(geometry.disk(), 0.3)
         with pytest.raises(OutOfTubeError):
-            tube.locate(np.array([0.1, 0.0]))
+            tube.locate_many(np.array([0.1, 0.0]))
 
     def test_tube_wider_than_reach_rejected(self):
         with pytest.raises(DegenerateCurveError):
             geometry.TubeNeighborhood(geometry.disk(), 1.1)
 
-    def test_laplacian_of_distance(self):
-        tube = geometry.TubeNeighborhood(geometry.disk(), 0.6)
-        # Delta d = -kappa/(1 - kappa d); disk: -1/(1 - d)
-        val = geometry.laplacian_of_distance(tube, np.array([0.5, 0.0]))
+    def test_laplacian_of_distance(self, disk_spectrum):
+        # Delta d = -kappa/(1 - kappa d); disk: -1/(1 - d). The v-transform
+        # carries it in its potential c = lambda^2 - lambda Delta d
+        pair = disk_spectrum[1]
+        tube = geometry.TubeNeighborhood(pair.curve, 0.6)
+        _, coeffs = v_transform(pair, tube)
+        lam = pair.eigenvalue
+        val = (lam**2 - coeffs.c(np.array([0.5, 0.0]))[0]) / lam
         assert val == pytest.approx(-2.0, rel=1e-10)
 
 
@@ -354,47 +355,40 @@ class TestReflection:
         x = c.point(np.linspace(0, 2 * np.pi, 9))
         assert np.allclose(geometry.reflect_many(tube, x), x, atol=1e-10)
 
-    def test_jacobian_product_disk(self):
+    def test_jacobian_product_disk(self, disk_spectrum):
         # DERIVED oracle: at (0.8, 0) on the unit disk the tangential
         # stretch is (1 + 0.2)/(1 - 0.2) = 1.5 along y, and the normal
-        # direction (x-axis) flips, so J J^T = diag(1, 2.25)
-        tube = geometry.TubeNeighborhood(geometry.disk(), 0.5)
+        # direction (x-axis) flips, so J J^T = diag(1, 2.25). The v-transform
+        # metric at the mirror point (1.2, 0) is this J J^T in closed form
+        tube = geometry.TubeNeighborhood(disk_spectrum[1].curve, 0.5)
         x = np.array([0.8, 0.0])
         J = reflection_jacobian(tube, x)
         assert np.allclose(J @ J.T, np.diag([1.0, 2.25]), atol=1e-7)
-        Jc = geometry.reflection_jacobian_closed(tube, x)
-        assert np.allclose(Jc @ Jc.T, np.diag([1.0, 2.25]), atol=1e-12)
+        _, coeffs = v_transform(disk_spectrum[1], tube)
+        A = coeffs.A(np.array([1.2, 0.0]))[0]
+        assert np.allclose(A, np.diag([1.0, 2.25]), atol=1e-12)
 
-    def test_jacobian_closed_matches_fd(self):
-        c = geometry.ellipse(2.0, 1.0)
+    def test_jacobian_closed_matches_fd(self, ellipse_spectrum):
+        # at an exterior point x the v-transform metric is A(x) = J J^T,
+        # with J the reflection's Jacobian at the mirror point of x
+        pair = ellipse_spectrum[8]
+        c = pair.curve
         tube = geometry.TubeNeighborhood(c, 0.4)
+        _, coeffs = v_transform(pair, tube)
         rng = np.random.default_rng(1)
         for _ in range(10):
             t = rng.uniform(0, 2 * np.pi)
-            s = rng.uniform(-0.3, 0.3)
+            s = rng.uniform(0.01, 0.3)
             x = c.point(np.array([t]))[0] + s * c.normal(np.array([t]))[0]
-            J_fd = reflection_jacobian(tube, x)
-            J_cl = geometry.reflection_jacobian_closed(tube, x)
-            assert np.allclose(J_fd, J_cl, atol=1e-6)
+            J_fd = reflection_jacobian(tube, geometry.reflect_many(tube, x)[0])
+            assert np.allclose(J_fd @ J_fd.T, coeffs.A(x)[0], atol=1e-6)
 
     def test_identity_on_boundary(self):
         c = geometry.perturbed_disk(0.1, 3)
         tube = geometry.TubeNeighborhood(c, 0.25)
         x = c.point(np.array([1.234]))[0]
-        J = geometry.reflection_jacobian_closed(tube, x)
-        assert np.allclose(J @ J.T, np.eye(2), atol=1e-12)
-
-    def test_jacobian_closed_shape_follows_input(self):
-        tube = geometry.TubeNeighborhood(geometry.disk(), 0.5)
-        x = np.array([[0.8, 0.0], [0.0, 1.2]])
-        batch = geometry.reflection_jacobian_closed(tube, x)
-        assert batch.shape == (2, 2, 2)
-        one = geometry.reflection_jacobian_closed(tube, x[:1])
-        assert one.shape == (1, 2, 2)
-        assert np.array_equal(one[0], batch[0])
-        single = geometry.reflection_jacobian_closed(tube, x[1])
-        assert single.shape == (2, 2)
-        assert np.array_equal(single, batch[1])
+        J = reflection_jacobian(tube, x)
+        assert np.allclose(J @ J.T, np.eye(2), atol=1e-7)
 
 
 class TestBuiltins:
@@ -427,11 +421,11 @@ class TestBuiltins:
 
     def test_curve_eval(self):
         c = geometry.ellipse(2.0, 1.0)
-        pts, tg, nu, kap = geometry.curve_eval(c, np.array([0.0]))
-        assert np.allclose(pts[0], [2.0, 0.0], atol=1e-14)
-        assert np.allclose(tg[0], [0.0, 1.0], atol=1e-14)
-        assert np.allclose(nu[0], [1.0, 0.0], atol=1e-14)
-        assert kap[0] == pytest.approx(2.0, rel=1e-12)
+        f = c.frame(np.array([0.0]))
+        assert np.allclose(f.point[0], [2.0, 0.0], atol=1e-14)
+        assert np.allclose(f.T[0], [0.0, 1.0], atol=1e-14)
+        assert np.allclose(f.nu[0], [1.0, 0.0], atol=1e-14)
+        assert f.kappa[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_json_contains_name(self):
         data = json.loads(geometry.ellipse(2.0, 1.0).to_json())

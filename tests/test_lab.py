@@ -227,6 +227,16 @@ class TestCli:
                         "--index", "9", "--rmin", "0.005", "--rmax", "inf") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--count", "0"),
+        ("nodal", "--index", "-1"),
+        ("doubling", "--index", "-1"),
+        ("scaling", "--domain", "disk", "--jmax", "-1"),
+    ])
+    def test_count_below_one_exit_2(self, capsys, argv):
+        assert self.run(*argv, "--nodes", "128") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zeros_oracle(self, capsys):
         assert self.run("zeros-oracle", "--count", "50") == 0
         assert "0 violations" in capsys.readouterr().out
