@@ -31,9 +31,9 @@ print(f"\nmixed degrees 1+5: N rises {prof.N[0]:.3f} -> {prof.N[-1]:.3f}, "
 resid = fq.check_hprime_identity(mixed, (0.0, 0.0), 0.5)
 print(f"d/dr log(H/r) = 2N/r relative residual: {resid:.2e}")
 
-dbl = fq.check_doubling_from_frequency(mixed, (0.0, 0.0), 0.6, eta=0.5)
+dbl = fq.check_doubling_from_frequency(mixed, (0.0, 0.0), 0.6)
 print(f"doubling: circle ratio {dbl.circle_ratio:.4f} <= bound "
-      f"{dbl.circle_bound:.4f} (N = {dbl.frequency:.4f})")
+      f"{dbl.bound:.4f} (N = {dbl.frequency:.4f})")
 
 # a measured mass-retention constant bounds the frequency from above
 kappa = 0.9 * (fq._ball_mean(mixed, (0.0, 0.0), 0.4)

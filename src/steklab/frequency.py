@@ -12,12 +12,9 @@ of such an equation.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import warnings
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,59 +300,31 @@ def i_of_r(field, coeffs, center, r):
 # -- frequency profiles -----------------------------------------------------------
 
 
+def _frequency(field, center, r, coeffs=None):
+    """(H, E, N) at radius r: H from h_of_r, the energy E from d_of_r, or
+    from i_of_r when coeffs is given, and N = r E / H. E and N are nan when
+    H <= _H_FLOOR, where the frequency is undefined."""
+    H = h_of_r(field, center, r)
+    if H <= _H_FLOOR:
+        return H, np.nan, np.nan
+    E = d_of_r(field, center, r) if coeffs is None else i_of_r(field, coeffs, center, r)
+    return H, E, r * E / H
+
+
 @dataclass
 class FrequencyProfile:
     """Frequency data N(r) = r E(r) / H(r) on a grid of radii.
 
-    In harmonic mode the energy E is the Dirichlet integral D and I is stored
-    equal to D. In generalized mode E is the full form I.
+    In harmonic mode the energy E is the Dirichlet integral D; in generalized
+    mode it is the full form I.
     """
 
     center: np.ndarray
     radii: np.ndarray
     H: np.ndarray
-    D: np.ndarray
-    I: np.ndarray
+    E: np.ndarray
     N: np.ndarray
     mode: str = "harmonic"
-    field_description: str = ""
-    dimension: int = 2
-
-    def to_csv(self):
-        meta = {
-            "center": [float(self.center[0]), float(self.center[1])],
-            "mode": self.mode,
-            "field": self.field_description,
-            "dimension": self.dimension,
-        }
-        buf = io.StringIO()
-        buf.write("# " + json.dumps(meta, sort_keys=True) + "\r\n")
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["r", "H", "D", "I", "N"])
-        for j in range(len(self.radii)):
-            writer.writerow(
-                [
-                    f"{x:.17e}"
-                    for x in (self.radii[j], self.H[j], self.D[j], self.I[j], self.N[j])
-                ]
-            )
-        return buf.getvalue()
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "center": self.center.tolist(),
-                "mode": self.mode,
-                "field": self.field_description,
-                "dimension": self.dimension,
-                "radii": self.radii.tolist(),
-                "H": self.H.tolist(),
-                "D": self.D.tolist(),
-                "I": self.I.tolist(),
-                "N": self.N.tolist(),
-            },
-            sort_keys=True,
-        )
 
 
 def geometric_radii(r_min, r_max):
@@ -368,34 +337,19 @@ def geometric_radii(r_min, r_max):
 
 
 def frequency_profile(field, center, radii, coeffs=None):
-    """Frequency profile over a radius grid; truncated at the first H <= 0."""
+    """Frequency profile over a radius grid; truncated at the first radius
+    where H <= _H_FLOOR."""
     center = np.asarray(center, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
-    Hs, Ds, Is, Ns = [], [], [], []
+    rows = []
     for r in radii:
-        H = h_of_r(field, center, r)
+        H, E, N = _frequency(field, center, r, coeffs)
         if H <= _H_FLOOR:
             break
-        D = d_of_r(field, center, r)
-        if coeffs is None:
-            I = D
-        else:
-            I = i_of_r(field, coeffs, center, r)
-        Hs.append(H)
-        Ds.append(D)
-        Is.append(I)
-        Ns.append(r * I / H)
-    m = len(Hs)
-    return FrequencyProfile(
-        center=center,
-        radii=radii[:m],
-        H=np.array(Hs),
-        D=np.array(Ds),
-        I=np.array(Is),
-        N=np.array(Ns),
-        mode="harmonic" if coeffs is None else "generalized",
-        field_description=field.description,
-    )
+        rows.append((H, E, N))
+    H, E, N = np.array(rows).reshape(-1, 3).T
+    mode = "harmonic" if coeffs is None else "generalized"
+    return FrequencyProfile(center, radii[: len(rows)], H, E, N, mode)
 
 
 # -- identity and inequality checks ------------------------------------------------
@@ -405,7 +359,6 @@ def frequency_profile(field, center, radii, coeffs=None):
 class MonotonicityReport:
     worst_violation: float
     passed: bool
-    profile: FrequencyProfile = dfield(repr=False, default=None)
 
 
 def check_monotonicity(profile):
@@ -413,27 +366,20 @@ def check_monotonicity(profile):
     if profile.mode != "harmonic":
         raise ValueError("monotonicity is asserted for harmonic profiles only")
     N = profile.N
-    worst = 0.0
-    for j in range(len(N) - 1):
-        drop = N[j] - N[j + 1]
-        if drop > worst:
-            worst = drop
+    worst = np.max(N[:-1] - N[1:], initial=0.0)
     scale = max(np.max(np.abs(N)), 1e-300)
-    return MonotonicityReport(
-        worst_violation=float(worst),
-        passed=worst <= 1e-6 * scale,
-        profile=profile,
-    )
+    return MonotonicityReport(worst_violation=float(worst), passed=worst <= 1e-6 * scale)
 
 
-def check_hprime_identity(field, center, r, coeffs=None, step_rel=1e-3):
-    """Residual of d/dr log(H(r)/r) = 2N(r)/r, Richardson-extrapolated.
+def check_hprime_identity(field, center, r, coeffs=None):
+    """Residual of d/dr log(H(r)/r) = 2N(r)/r, Richardson-extrapolated from
+    central differences at steps r/1000 and r/2000.
 
     Harmonic mode returns the relative residual. Generalized mode returns the
     measured bounded remainder (the identity holds up to an O(1) term there).
     """
     center = np.asarray(center, dtype=float)
-    h = step_rel * r
+    h = 1e-3 * r
 
     def logH(rr):
         return np.log(h_of_r(field, center, rr))
@@ -442,11 +388,7 @@ def check_hprime_identity(field, center, r, coeffs=None, step_rel=1e-3):
         return (logH(r + hh) - logH(r - hh)) / (2 * hh)
 
     lhs = (4 * deriv(h / 2) - deriv(h)) / 3 - 1.0 / r
-    H = h_of_r(field, center, r)
-    if coeffs is None:
-        E = d_of_r(field, center, r)
-    else:
-        E = i_of_r(field, coeffs, center, r)
+    H, E, _ = _frequency(field, center, r, coeffs)
     rhs = 2.0 * E / H
     if coeffs is None:
         return abs(lhs - rhs) / max(abs(rhs), 1.0 / r)
@@ -456,24 +398,9 @@ def check_hprime_identity(field, center, r, coeffs=None, step_rel=1e-3):
 @dataclass
 class DoublingCheckReport:
     circle_ratio: float
-    circle_bound: float
     ball_ratio: float
-    ball_bound: float
+    bound: float
     frequency: float
-
-    @property
-    def circle_slack(self):
-        return self.circle_bound - self.circle_ratio
-
-    @property
-    def ball_slack(self):
-        return self.ball_bound - self.ball_ratio
-
-    @property
-    def passed(self):
-        return self.circle_slack >= -1e-8 * self.circle_bound and (
-            self.ball_slack >= -1e-8 * self.ball_bound
-        )
 
 
 def _ball_mean(field, center, r):
@@ -485,47 +412,35 @@ def _circle_mean(field, center, r):
     return h_of_r(field, center, r) / (TWO_PI * r)
 
 
-def check_doubling_from_frequency(field, center, R, eta=0.5):
-    """Mean-growth bounds by eta^(-2N(R)) on circles and balls."""
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
+def check_doubling_from_frequency(field, center, R):
+    """Circle- and ball-mean ratios between radii R and R/2 against their
+    bound 2^(2N(R))."""
     center = np.asarray(center, dtype=float)
-    H = h_of_r(field, center, R)
-    D = d_of_r(field, center, R)
-    N = R * D / H
-    bound = eta ** (-2.0 * N)
-    circle_ratio = _circle_mean(field, center, R) / _circle_mean(field, center, eta * R)
-    ball_ratio = _ball_mean(field, center, R) / _ball_mean(field, center, eta * R)
+    H, _, N = _frequency(field, center, R)
+    circle_ratio = H / (TWO_PI * R) / _circle_mean(field, center, 0.5 * R)
+    ball_ratio = _ball_mean(field, center, R) / _ball_mean(field, center, 0.5 * R)
     return DoublingCheckReport(
         circle_ratio=float(circle_ratio),
-        circle_bound=float(bound),
         ball_ratio=float(ball_ratio),
-        ball_bound=float(bound),
+        bound=float(0.5 ** (-2.0 * N)),
         frequency=float(N),
     )
 
 
 @dataclass
 class FrequencyFromDoublingReport:
-    kappa: float
     bound: float
     measured: float
-    beta_ratio: float
-    beta_bound: float
-
-    @property
-    def passed(self):
-        return self.measured <= self.bound * (1 + 1e-10) and (
-            self.beta_ratio >= self.beta_bound * (1 - 1e-10)
-        )
+    passed: bool
 
 
-def frequency_from_doubling(field, center, r, alpha, theta, kappa, beta=None):
+def frequency_from_doubling(field, center, r, alpha, theta, kappa):
     """Frequency bound implied by a mass-retention constant kappa.
 
     Requires mean over B(alpha r) >= kappa * mean over B(r); then
     N(alpha r) <= -log(kappa (1 - theta^n)) / (2 log(theta / alpha)) and the
-    two-radius mass inequality at beta < alpha follows.
+    two-radius mass inequality at beta = alpha / 2 follows. Passes when both
+    hold to relative 1e-10.
     """
     if not 0 < alpha < theta < 1:
         raise ValueError("need 0 < alpha < theta < 1")
@@ -540,58 +455,43 @@ def frequency_from_doubling(field, center, r, alpha, theta, kappa, beta=None):
         )
     arg = kappa * (1 - theta**n)
     bound = -np.log(arg) / (2 * np.log(theta / alpha))
-    H = h_of_r(field, center, alpha * r)
-    D = d_of_r(field, center, alpha * r)
-    measured = alpha * r * D / H
-    if beta is None:
-        beta = 0.5 * alpha
+    _, _, measured = _frequency(field, center, alpha * r)
+    beta = 0.5 * alpha
     mean_br = _ball_mean(field, center, beta * r)
     beta_bound = arg ** (np.log(alpha / beta) / np.log(theta / alpha)) * mean_ar
     return FrequencyFromDoublingReport(
-        kappa=float(kappa),
         bound=float(bound),
         measured=float(measured),
-        beta_ratio=float(mean_br),
-        beta_bound=float(beta_bound),
+        passed=bool(
+            measured <= bound * (1 + 1e-10) and mean_br >= beta_bound * (1 - 1e-10)
+        ),
     )
 
 
 @dataclass
 class ChainFrequencyReport:
     base_frequency: float
-    worst_point: np.ndarray
-    worst_frequency: float
     constant: float
 
 
-def chain_frequency_check(field, R, base_radius=1.0, n_points=16, seed=0):
+def chain_frequency_check(field, R, n_points=16, seed=0):
     """Frequencies at shifted centers in B_R against the frequency at 0.
 
     Samples points p in B_R, computes N(p, (1 - R)/2) and records the
-    empirical constant max_p N(p, .) / N(0, base_radius).
+    empirical constant max_p N(p, .) / N(0, 1).
     """
     if not 0 < R < 1:
         raise ValueError("R must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    H0 = h_of_r(field, (0.0, 0.0), base_radius)
-    D0 = d_of_r(field, (0.0, 0.0), base_radius)
-    N0 = base_radius * D0 / H0
+    _, _, N0 = _frequency(field, (0.0, 0.0), 1.0)
     rr = R * np.sqrt(rng.uniform(0, 1, n_points))
     th = rng.uniform(0, TWO_PI, n_points)
     pts = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
     r_small = 0.5 * (1 - R)
-    worst, worst_p = -np.inf, pts[0]
-    for p in pts:
-        H = h_of_r(field, p, r_small)
-        if H <= _H_FLOOR:
-            continue
-        Np = r_small * d_of_r(field, p, r_small) / H
-        if Np > worst:
-            worst, worst_p = Np, p
+    Ns = [_frequency(field, p, r_small)[2] for p in pts]
+    worst = max((Np for Np in Ns if not np.isnan(Np)), default=-np.inf)
     return ChainFrequencyReport(
         base_frequency=float(N0),
-        worst_point=worst_p,
-        worst_frequency=float(worst),
         constant=float(worst / N0) if N0 > 0 else 0.0,
     )
 

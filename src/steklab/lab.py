@@ -313,6 +313,8 @@ class SuiteReport:
 
 def random_harmonic_family(n_cases=20, seed=42):
     """Seeded random combinations of harmonic polynomials up to degree 8."""
+    if n_cases < 1:
+        raise ValueError(f"need at least one case, got {n_cases}")
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(n_cases):
@@ -327,6 +329,7 @@ def random_harmonic_family(n_cases=20, seed=42):
 
 def run_frequency_suite(seed=42, n_cases=20):
     """Identity and inequality checks on the harmonic-polynomial family."""
+    family = random_harmonic_family(n_cases=n_cases, seed=seed)
     results = []
     grid = fq.geometric_radii(0.05, 0.85)
 
@@ -339,7 +342,6 @@ def run_frequency_suite(seed=42, n_cases=20):
         CheckResult("degree-identity", worst <= 1e-8, worst, "degrees 0..8")
     )
 
-    family = random_harmonic_family(n_cases=n_cases, seed=seed)
     worst = 0.0
     for f in family:
         prof = fq.frequency_profile(
@@ -366,21 +368,19 @@ def run_frequency_suite(seed=42, n_cases=20):
         worst = max(worst, drop / np.max(means))
     results.append(CheckResult("circle-mean-nondecreasing", worst <= 1e-10, worst))
 
-    # doubling bounds, with equality for homogeneous polynomials at eta = 1/2
+    # doubling bounds between R and R/2, with equality for homogeneous polynomials
     worst_slack, worst_eq = 0.0, 0.0
     for f in family:
-        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6, 0.5)
+        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6)
         worst_slack = max(
             worst_slack,
-            max(0.0, rep.circle_ratio - rep.circle_bound) / rep.circle_bound,
-            max(0.0, rep.ball_ratio - rep.ball_bound) / rep.ball_bound,
+            max(0.0, rep.circle_ratio - rep.bound) / rep.bound,
+            max(0.0, rep.ball_ratio - rep.bound) / rep.bound,
         )
     for k in range(1, 9):
         f = fq.harmonic_polynomial([(k, 1.0, 0.0)])
-        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6, 0.5)
-        worst_eq = max(
-            worst_eq, abs(rep.circle_ratio - rep.circle_bound) / rep.circle_bound
-        )
+        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6)
+        worst_eq = max(worst_eq, abs(rep.circle_ratio - rep.bound) / rep.bound)
     results.append(CheckResult("doubling-bounds", worst_slack <= 1e-10, worst_slack))
     results.append(
         CheckResult("doubling-equality-homogeneous", worst_eq <= 1e-8, worst_eq)
@@ -483,6 +483,8 @@ def complex_zero_case(coefficients):
 
 def run_complex_zero_oracle(count=200, max_degree=12, seed=42):
     """Battery of random polynomials checked against the zero-count bound."""
+    if count < 1:
+        raise ValueError(f"need at least one case, got {count}")
     if max_degree > 64:
         raise ValueError("degree above the companion-matrix accuracy bound")
     rng = np.random.default_rng(seed)

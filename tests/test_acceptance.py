@@ -116,9 +116,7 @@ def test_criterion_05_monotonicity():
 def test_criterion_06_hprime_identity():
     worst = 0.0
     for f in lab.random_harmonic_family(n_cases=20, seed=42):
-        worst = max(
-            worst, fq.check_hprime_identity(f, (0.0, 0.0), 0.5, step_rel=1e-3)
-        )
+        worst = max(worst, fq.check_hprime_identity(f, (0.0, 0.0), 0.5))
     _report(6, "growth-derivative identity", worst <= 1e-4, f"worst {worst:.3e}")
 
 
@@ -126,11 +124,11 @@ def test_criterion_07_doubling_corollaries():
     family = lab.random_harmonic_family(n_cases=20, seed=42)
     worst_slack, worst_eq, worst_inv = 0.0, 0.0, 0.0
     for f in family:
-        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6, eta=0.5)
+        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6)
         worst_slack = max(
             worst_slack,
-            max(0.0, rep.circle_ratio - rep.circle_bound) / rep.circle_bound,
-            max(0.0, rep.ball_ratio - rep.ball_bound) / rep.ball_bound,
+            max(0.0, rep.circle_ratio - rep.bound) / rep.bound,
+            max(0.0, rep.ball_ratio - rep.bound) / rep.bound,
         )
         # inverse bound from a measured retention constant
         kappa = 0.95 * (
@@ -140,10 +138,8 @@ def test_criterion_07_doubling_corollaries():
         worst_inv = max(worst_inv, inv.measured - inv.bound)
     for k in range(1, 9):
         f = fq.harmonic_polynomial([(k, 1.0, 0.0)])
-        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6, eta=0.5)
-        worst_eq = max(
-            worst_eq, abs(rep.circle_ratio - rep.circle_bound) / rep.circle_bound
-        )
+        rep = fq.check_doubling_from_frequency(f, (0.0, 0.0), 0.6)
+        worst_eq = max(worst_eq, abs(rep.circle_ratio - rep.bound) / rep.bound)
     ok = worst_slack <= 1e-10 and worst_eq <= 1e-8 and worst_inv <= 0.0
     _report(
         7,

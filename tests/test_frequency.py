@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -76,28 +75,11 @@ class TestHarmonicFrequency:
         assert check_hprime_identity(deg3, (0.0, 0.0), 0.5) < 1e-8
 
     def test_doubling_equality(self, deg3):
-        rep = check_doubling_from_frequency(deg3, (0.0, 0.0), 0.4, eta=0.5)
-        # homogeneous case: the bound eta^(-2N) is attained exactly
+        rep = check_doubling_from_frequency(deg3, (0.0, 0.0), 0.4)
+        # homogeneous case: the bound 2^(2N) is attained exactly
         assert rep.frequency == pytest.approx(3.0, abs=1e-9)
-        assert rep.passed
-        assert abs(rep.circle_slack) < 1e-7 * rep.circle_bound
-        assert abs(rep.ball_slack) < 1e-7 * rep.ball_bound
-
-    def test_profile_csv_format(self, deg3):
-        prof = frequency_profile(deg3, (0.0, 0.0), geometric_radii(0.1, 0.4))
-        lines = prof.to_csv().split("\r\n")
-        assert lines[0].startswith("# {")
-        json.loads(lines[0][2:])
-        assert lines[1] == "r,H,D,I,N"
-        row = lines[2].split(",")
-        assert len(row) == 5
-        assert float(row[0]) == prof.radii[0]
-
-    def test_profile_json_roundtrip(self, deg3):
-        prof = frequency_profile(deg3, (0.0, 0.0), geometric_radii(0.1, 0.4))
-        data = json.loads(prof.to_json())
-        assert np.allclose(data["N"], prof.N)
-        assert data["mode"] == "harmonic"
+        assert abs(rep.circle_ratio - rep.bound) < 1e-7 * rep.bound
+        assert abs(rep.ball_ratio - rep.bound) < 1e-7 * rep.bound
 
 
 class TestEigenFrequency:
@@ -334,7 +316,7 @@ class TestLemmas:
             )
 
     def test_chain_frequency(self, deg3):
-        rep = chain_frequency_check(deg3, 0.5, base_radius=1.0, n_points=8)
+        rep = chain_frequency_check(deg3, 0.5, n_points=8)
         assert rep.base_frequency == pytest.approx(3.0, abs=1e-8)
         assert np.isfinite(rep.constant) and rep.constant > 0
 

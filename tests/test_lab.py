@@ -228,14 +228,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
-        ("solve", "--count", "0"),
-        ("nodal", "--index", "-1"),
-        ("doubling", "--index", "-1"),
-        ("scaling", "--domain", "disk", "--jmax", "-1"),
+        ("solve", "--count", "0", "--nodes", "128"),
+        ("nodal", "--index", "-1", "--nodes", "128"),
+        ("doubling", "--index", "-1", "--nodes", "128"),
+        ("scaling", "--domain", "disk", "--jmax", "-1", "--nodes", "128"),
+        # a check suite that runs no case must not report a pass
+        ("frequency", "--cases", "0"),
+        ("frequency", "--cases", "-2"),
+        ("zeros-oracle", "--count", "0"),
+        ("zeros-oracle", "--count", "-3"),
     ])
     def test_count_below_one_exit_2(self, capsys, argv):
-        assert self.run(*argv, "--nodes", "128") == 2
+        assert self.run(*argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_frequency(self, capsys):
+        assert self.run("frequency", "--cases", "3") == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 8 and "3 random cases" in out
 
     def test_zeros_oracle(self, capsys):
         assert self.run("zeros-oracle", "--count", "50") == 0

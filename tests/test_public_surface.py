@@ -6,6 +6,12 @@ It counts as used when an identifier, or a string literal naming it (alone
 or as the last part of a dotted path, as the benchmark tracer does), appears
 in a Python file under ``src/``, ``demos/``, ``perfbench/`` or ``tools/``
 outside any ``tests`` directory, other than right after ``def`` or ``class``.
+
+The match is by name, not by class, so it misses a method that only tests
+call when another class has a method, attribute or variable of the same
+name that is used: a call of ``NodalReport.to_csv`` counts for every
+``to_csv``. ``FrequencyProfile.to_csv`` and ``FrequencyProfile.to_json``,
+since removed, had only test callers and passed this way.
 """
 
 import ast
