@@ -105,42 +105,33 @@ def eigen_field(pair):
 class CoefficientField:
     """Coefficients (A, b, c) of Div(A grad w) + b . grad w + c w = 0.
 
-    Carries empirical bounds: ellipticity alpha, Lipschitz constant gamma of
-    A, and the sup bound K of all coefficients.
+    `func` maps (P, 2) points to the triple (A, b, c) of shapes (P, 2, 2),
+    (P, 2) and (P,); calling the field returns it.
     """
 
-    def __init__(self, A, b, c, alpha=1.0, gamma=0.0, K=1.0, description=""):
-        self._A, self._b, self._c = A, b, c
-        self.alpha = alpha
-        self.gamma = gamma
-        self.K = K
-        self.description = description
+    def __init__(self, func):
+        self._func = func
 
-    def A(self, x):
-        return self._A(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def b(self, x):
-        return self._b(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def c(self, x):
-        return self._c(np.atleast_2d(np.asarray(x, dtype=float)))
+    def __call__(self, x):
+        return self._func(np.atleast_2d(np.asarray(x, dtype=float)))
 
     def check_assumptions(self, probes, pairs=None):
-        """Measured (alpha, gamma, K) over probe points and probe pairs."""
+        """Measured (alpha, gamma, K) over probe points and probe pairs:
+        ellipticity alpha, Lipschitz constant gamma of A, and the sup bound
+        K of all coefficients."""
         probes = np.atleast_2d(probes)
-        A = self.A(probes)
-        eigs = np.linalg.eigvalsh(A)
-        alpha = float(np.min(eigs))
+        A, b, c = self(probes)
+        alpha = float(np.min(np.linalg.eigvalsh(A)))
         K = float(
             np.max(np.sum(np.abs(A), axis=(1, 2)))
-            + np.max(np.sum(np.abs(self.b(probes)), axis=1))
-            + np.max(np.abs(self.c(probes)))
+            + np.max(np.sum(np.abs(b), axis=1))
+            + np.max(np.abs(c))
         )
         gamma = 0.0
         if pairs is not None:
             xs, ys = pairs
             # a side that is the probe array itself reuses its A values
-            Ax, Ay = (A if side is probes else self.A(side) for side in pairs)
+            Ax, Ay = (A if side is probes else self(side)[0] for side in pairs)
             dA = np.abs(Ax - Ay).max(axis=(1, 2))
             dist = np.linalg.norm(xs - ys, axis=1)
             good = dist > 1e-12
@@ -151,15 +142,12 @@ class CoefficientField:
 
 def zero_coefficients():
     """Laplace coefficients: A = I, b = 0, c = 0."""
-    return CoefficientField(
-        A=lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy(),
-        b=lambda x: np.zeros((len(x), 2)),
-        c=lambda x: np.zeros(len(x)),
-        alpha=1.0,
-        gamma=0.0,
-        K=2.0,
-        description="laplace",
-    )
+
+    def func(x):
+        n = len(x)
+        return np.tile(np.eye(2), (n, 1, 1)), np.zeros((n, 2)), np.zeros(n)
+
+    return CoefficientField(func)
 
 
 # -- circle and disk quadrature ---------------------------------------------------
@@ -278,19 +266,16 @@ def d_of_r(field, center, r):
 def i_of_r(field, coeffs, center, r):
     """Generalized energy int (grad w . A grad w + w b . grad w + c w^2)."""
     center = np.asarray(center, dtype=float)
-    A0 = coeffs.A(center[None, :])[0]
-    if np.max(np.abs(A0 - np.eye(2))) > 1e-8:
+    dev = np.max(np.abs(coeffs(center)[0][0] - np.eye(2)))
+    if dev > 1e-8:
         raise InvalidCenterError(
-            f"leading coefficient at the center deviates from the identity by "
-            f"{np.max(np.abs(A0 - np.eye(2))):.3e}"
+            f"leading coefficient at the center deviates from the identity by {dev:.3e}"
         )
     field.require(_circle_samples(center, r, 32))
 
     def integrand(pts):
         v, g = field(pts)
-        A = coeffs.A(pts)
-        b = coeffs.b(pts)
-        c = coeffs.c(pts)
+        A, b, c = coeffs(pts)
         quad = np.einsum("pi,pij,pj->p", g, A, g)
         return quad + v * np.einsum("pi,pi->p", b, g) + c * v**2
 
@@ -503,13 +488,15 @@ def v_transform(pair, tube):
     """Fields (v, coefficients) for v = u exp(lambda d), reflected across
     the boundary of the domain of the eigenpair.
 
-    Every field call reads one tube frame of its points, from one
+    A call of either field reads one tube frame of its points, from one
     nearest_point_many call and one BoundaryCurve.frame call at its foot
-    parameters: x = gamma(t) + s nu(t) with s the signed
-    offset, T the unit tangent, nu the outward normal, kappa the curvature,
-    kappa_sigma = kappa'(t) / |gamma'(t)| its arclength derivative, and
-    mu = (1 + kappa s)/(1 - kappa s) the tangential stretch of the
-    reflection Psi: gamma(t) - s nu -> gamma(t) + s nu.
+    parameters. The v field passes the frame's foot parameters and depths to
+    evaluate_many, which does not project again, and the coefficient field
+    returns (A, b, c) from its one frame. In the frame, x = gamma(t) + s nu(t)
+    with s the signed offset, T the unit tangent, nu the outward normal,
+    kappa the curvature, kappa_sigma = kappa'(t) / |gamma'(t)| its arclength
+    derivative, and mu = (1 + kappa s)/(1 - kappa s) the tangential stretch
+    of the reflection Psi: gamma(t) - s nu -> gamma(t) + s nu.
 
     A point is inside when s <= 0. There v = u exp(-lambda s), A = I,
     b = 2 lambda nu and c = lambda^2 - lambda Lap d with d = -s and
@@ -530,6 +517,10 @@ def v_transform(pair, tube):
     than the tube are also accepted, but c is infinite at a focal point
     (kappa d = 1), and on the medial axis the frame, and so b, follows
     whichever foot point the projection finds.
+
+    The coefficient field carries alpha, gamma and K, its check_assumptions
+    measured on a probe set of the collar: 64 rim points at offsets of
+    -0.6, -0.2, 0.2 and 0.6 times the tube half-width.
     """
     if not isinstance(tube, TubeNeighborhood):
         raise TypeError("expected a TubeNeighborhood")
@@ -556,7 +547,7 @@ def v_transform(pair, tube):
         # tube coordinates are (t, -s): every point sits at depth d = |s|
         d = np.abs(f.s)
         xm = np.where(f.outside[:, None], f.point - f.s[:, None] * f.nu, x)
-        u, gu = pair._evaluate_tube(xm, f.t, -d)
+        u, gu = pair.evaluate_many(xm, f.t, -d)
         w = np.exp(lam * d)
         gv = w[:, None] * (gu - lam * u[:, None] * f.nu)
         # grad of v(x') = v(Psi^{-1} x'): pull back through the inverse
@@ -567,31 +558,21 @@ def v_transform(pair, tube):
         return u * w, np.where(f.outside[:, None], gout, gv)
 
     def contains(x):
-        _, s, _ = curve.nearest_point_many(np.atleast_2d(np.asarray(x, float)))
+        _, s, _ = curve.nearest_point_many(x)
         return s <= delta
 
     vfield = ScalarField(
         v_func, contains=contains, description=f"vtransform[{curve.name}, lam={lam:.6g}]"
     )
 
-    def A_func(x):
+    def coeff_func(x):
         f = tube_frame(x)
+        o = f.outside
         A = (f.mu**2)[:, None, None] * np.einsum("pi,pj->pij", f.T, f.T)
         A += np.einsum("pi,pj->pij", f.nu, f.nu)
-        A[~f.outside] = np.eye(2)
-        return A
+        A[~o] = np.eye(2)
 
-    def c_func(x):
-        f = tube_frame(x)
-        # c(x') = c(Psi^{-1} x'): fold the exterior onto the interior offset
-        d = np.abs(f.s)
-        lap_d = -f.kappa / (1.0 - f.kappa * d)
-        return lam**2 - lam * lap_d
-
-    def b_func(x):
-        f = tube_frame(x)
         b = 2.0 * lam * f.nu
-        o = f.outside
         s, kap, ks, mu = f.s[o], f.kappa[o], f.kappa_sigma[o], f.mu[o]
         tg, nu = f.T[o], f.nu[o]
         mu_sigma = 2.0 * s * ks / (1.0 - kap * s) ** 2
@@ -600,17 +581,13 @@ def v_transform(pair, tube):
         lap_psi = (2.0 * s * ks / (1.0 - kap * s) ** 3)[:, None] * tg
         lap_psi -= (2.0 * kap / (1.0 - kap * s) ** 2)[:, None] * nu
         b[o] = -div_A + lap_psi - 2.0 * lam * nu
-        return b
 
-    cfield = CoefficientField(
-        A=A_func,
-        b=b_func,
-        c=c_func,
-        alpha=1.0,
-        gamma=0.0,
-        K=1.0,
-        description=f"vtransform-coeffs[{curve.name}, lam={lam:.6g}]",
-    )
+        # c(x') = c(Psi^{-1} x'): fold the exterior onto the interior offset
+        d = np.abs(f.s)
+        lap_d = -f.kappa / (1.0 - f.kappa * d)
+        return A, b, lam**2 - lam * lap_d
+
+    cfield = CoefficientField(coeff_func)
     # record empirical bounds on a boundary-collar probe set
     tt = np.linspace(0, TWO_PI, 64, endpoint=False)
     offs = np.array([-0.6, -0.2, 0.2, 0.6]) * delta
@@ -637,10 +614,10 @@ def pde_residual(field, coeffs, x, step):
         e[j] = h
         _, gp = field(x + e)
         _, gm = field(x - e)
-        Fp = np.einsum("pij,pj->pi", coeffs.A(x + e), gp)
-        Fm = np.einsum("pij,pj->pi", coeffs.A(x - e), gm)
+        Fp = np.einsum("pij,pj->pi", coeffs(x + e)[0], gp)
+        Fm = np.einsum("pij,pj->pi", coeffs(x - e)[0], gm)
         div += (Fp[:, j] - Fm[:, j]) / (2 * h)
     v, g = field(x)
-    res = div + np.einsum("pi,pi->p", coeffs.b(x), g) + coeffs.c(x) * v
-    return res
+    _, b, c = coeffs(x)
+    return div + np.einsum("pi,pi->p", b, g) + c * v
 

@@ -23,6 +23,7 @@ from .errors import (
 
 _REGULARITY_TOL = 1e-12
 _PROBE = 8192  # curve samples that locate ball edges, star angles and arclength
+_GRID = 1024  # curve samples of the checks' frame and the foot-point seeds
 
 
 def _segments_intersect(p, q, r, s):
@@ -54,7 +55,7 @@ class BoundaryCurve:
     within round_off = 1e-12 max(diameter, 1) of the curve counts as on it.
     """
 
-    def __init__(self, fourier_x, fourier_y, name="", grid_size=1024):
+    def __init__(self, fourier_x, fourier_y, name="", grid_size=_GRID):
         self.fourier_x = np.asarray(fourier_x, dtype=float)
         self.fourier_y = np.asarray(fourier_y, dtype=float)
         if self.fourier_x.ndim != 1 or self.fourier_y.ndim != 1:
@@ -62,7 +63,6 @@ class BoundaryCurve:
         if len(self.fourier_x) % 2 == 0 or len(self.fourier_y) % 2 == 0:
             raise ValueError("coefficient layout is [a0, a1, b1, ...]: odd length")
         self.name = name
-        self.grid_size = int(grid_size)
         self.n_modes = max(len(self.fourier_x), len(self.fourier_y)) // 2
 
         # gamma(t) = Re sum_k c_k e^{ikt} with c_k = a_k - i b_k, one column
@@ -75,7 +75,7 @@ class BoundaryCurve:
         self._dcoef = [c * (1j**d * self._k[:, None] ** d) for d in range(4)]
 
         # the grid's frame and KD-tree serve every check and the foot-point seeds
-        self._tgrid = np.linspace(0.0, 2 * np.pi, self.grid_size, endpoint=False)
+        self._tgrid = np.linspace(0.0, 2 * np.pi, int(grid_size), endpoint=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = self.frame(self._tgrid)  # a zero speed is rejected below
         self._pgrid, self._nugrid = f.point, f.nu
@@ -203,7 +203,7 @@ class BoundaryCurve:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         _, idx = self._tree.query(x)
         t = self._tgrid[idx]
-        max_step = 1.5 * 2 * np.pi / self.grid_size
+        max_step = 1.5 * 2 * np.pi / len(self._tgrid)
         live = np.arange(len(x))  # points still iterating
         for _ in range(30):
             g, v, a = self._series(t[live], 0, 1, 2)
@@ -275,20 +275,18 @@ class BoundaryCurve:
 # -- built-in curves -------------------------------------------------------------
 
 
-def disk(radius=1.0, grid_size=1024):
+def disk(radius=1.0, grid_size=_GRID):
     return BoundaryCurve(
         [0.0, radius, 0.0], [0.0, 0.0, radius], name=f"disk({radius})",
         grid_size=grid_size,
     )
 
 
-def ellipse(a=2.0, b=1.0, grid_size=1024):
-    return BoundaryCurve(
-        [0.0, a, 0.0], [0.0, 0.0, b], name=f"ellipse({a},{b})", grid_size=grid_size
-    )
+def ellipse(a=2.0, b=1.0):
+    return BoundaryCurve([0.0, a, 0.0], [0.0, 0.0, b], name=f"ellipse({a},{b})")
 
 
-def perturbed_disk(eps=0.1, m=3, grid_size=1024):
+def perturbed_disk(eps=0.1, m=3):
     """Radial graph r(theta) = 1 + eps*cos(m theta), written as Fourier series."""
     K = m + 1
     cx = np.zeros(2 * K + 1)
@@ -310,10 +308,10 @@ def perturbed_disk(eps=0.1, m=3, grid_size=1024):
     else:
         cx[0] += eps / 2  # cos(0 t) term when m = 1
         # sin(0 t) vanishes
-    return BoundaryCurve(cx, cy, name=f"perturbed_disk({eps},{m})", grid_size=grid_size)
+    return BoundaryCurve(cx, cy, name=f"perturbed_disk({eps},{m})")
 
 
-def builtin_curve(spec, grid_size=1024):
+def builtin_curve(spec):
     """Resolve a built-in curve name like "disk", "ellipse(2,1)", "perturbed_disk(0.1,3)".
 
     The shell-friendly colon form "ellipse:2,1" is accepted as well.
@@ -323,13 +321,13 @@ def builtin_curve(spec, grid_size=1024):
         name, args = spec.split(":", 1)
         spec = f"{name}({args})"
     if spec == "disk":
-        return disk(grid_size=grid_size)
+        return disk()
     if spec.startswith("ellipse(") and spec.endswith(")"):
         a, b = (float(v) for v in spec[8:-1].split(","))
-        return ellipse(a, b, grid_size=grid_size)
+        return ellipse(a, b)
     if spec.startswith("perturbed_disk(") and spec.endswith(")"):
         eps, m = spec[15:-1].split(",")
-        return perturbed_disk(float(eps), int(m), grid_size=grid_size)
+        return perturbed_disk(float(eps), int(m))
     raise ValueError(f"unknown built-in curve: {spec!r}")
 
 

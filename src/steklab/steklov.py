@@ -128,7 +128,7 @@ class SteklovEigenpair:
     residual: float
     dtn: DtnDiscretization = field(repr=False)
     index: int = 0
-    _cont: dict = field(default_factory=dict, repr=False)
+    _cont: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def curve(self):
@@ -137,14 +137,13 @@ class SteklovEigenpair:
     # -- trace as a function of the boundary parameter -------------------------
 
     def _trace_modes(self):
+        """(k >= 0, c): trace = Re sum c e^{ikt} over the modes above the floor."""
         if "modes" not in self._cont:
-            N = self.dtn.N
-            fhat = np.fft.fft(self.trace) / N
-            kvec = np.fft.fftfreq(N, 1.0 / N).astype(int)
-            keep = np.abs(fhat) > _MODE_FLOOR * max(np.max(np.abs(fhat)), 1e-300)
-            # drop the unpaired Nyquist mode: it is below noise for resolved pairs
-            keep &= np.abs(kvec) < N // 2
-            self._cont["modes"] = (kvec[keep], fhat[keep])
+            fhat = np.fft.fft(self.trace) / self.dtn.N
+            fhat[~_modes_above(fhat, _MODE_FLOOR)] = 0.0
+            folded = _fold(fhat)
+            k = np.flatnonzero(folded)
+            self._cont["modes"] = (k, folded[k])
         return self._cont["modes"]
 
     def trace_at(self, t, derivative=False):
@@ -158,10 +157,6 @@ class SteklovEigenpair:
             return np.real(e @ fhat)
         out = (e @ np.stack([fhat, 1j * kvec * fhat], axis=1)).real
         return out[:, 0], out[:, 1]
-
-    def trace_spectrum_cutoff(self):
-        kvec, _ = self._trace_modes()
-        return int(np.max(np.abs(kvec))) if len(kvec) else 0
 
     # -- normal Taylor continuation ---------------------------------------------
 
@@ -181,13 +176,11 @@ class SteklovEigenpair:
         lam = self.eigenvalue
 
         def bandwidth(grid):
-            spec = np.abs(np.fft.fft(grid)) / N
-            keep = spec > 10 * _MODE_FLOOR * max(np.max(spec), 1e-300)
-            keep &= np.abs(kvec) < N // 2
-            return int(np.max(np.abs(kvec[keep]))) if np.any(keep) else 0
+            keep = _modes_above(np.fft.fft(grid), 10 * _MODE_FLOOR)
+            return int(np.max(np.abs(kvec[keep]), initial=0))
 
         k_geo = max(bandwidth(dtn.speed), bandwidth(dtn.speed * dtn.kappa))
-        k_trace = self.trace_spectrum_cutoff()
+        k_trace = int(np.max(self._trace_modes()[0], initial=0))
 
         def filt(grid, level):
             # per-level relative floor plus a progressive bandwidth cap: the
@@ -196,9 +189,7 @@ class SteklovEigenpair:
             # anything beyond that is grid noise that repeated t-derivatives
             # would amplify faster than the signal
             spec = np.fft.fft(grid) / N
-            mx = np.max(np.abs(spec))
-            if mx > 0:
-                spec[np.abs(spec) < _MODE_FLOOR * mx] = 0.0
+            spec[~_modes_above(spec, _MODE_FLOOR)] = 0.0
             cap = min(k_trace + (level + 1) * (k_geo + 2) + 8, N // 2 - 1)
             spec[np.abs(kvec) > cap] = 0.0
             return spec
@@ -225,14 +216,7 @@ class SteklovEigenpair:
             nxt = np.fft.ifft(filt(nxt, k + 2) * N)
             c.append(nxt)
 
-        # fold mode -k onto k, exact under Re: Re(c e^{-ikt}) = Re(conj(c) e^{ikt});
-        # filt zeroes the Nyquist mode
-        h = N // 2
-        folded = np.zeros((h, len(c)), dtype=complex)
-        for m, cm in enumerate(c):
-            spec = filt(cm, m)
-            folded[:, m] = spec[:h]
-            folded[1:, m] += np.conj(spec[:h:-1])
+        folded = _fold(np.stack([filt(cm, m) for m, cm in enumerate(c)], axis=1))
         kv = np.flatnonzero(np.any(folded != 0, axis=1))
         coeff = folded[kv]
         # value and t-derivative blocks side by side: (modes, 2M)
@@ -310,66 +294,69 @@ class SteklovEigenpair:
         s_taylor = min(0.5 / lam, 0.15 * delta)
         return s_taylor, band_out
 
-    def evaluate_many(self, x):
+    def evaluate_many(self, x, t=None, s=None):
         """u and grad u at an array of points inside Omega or in the thin
         exterior extension band.
 
-        Memory is bounded for any number of points and any upsampling: points
-        go in blocks of _EVAL_CHUNK, and both per-point tables, the layer
-        quadrature's (points, sources) and the Taylor series' (points, modes),
-        hold at most _BLOCK_BUDGET entries at a time."""
-        return self._evaluate_tube(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def _evaluate_tube(self, x, t=None, s=None):
-        """evaluate_many at points x with foot parameters t and signed offsets
-        s; where these are not given, each block of x is projected here."""
+        t and s are the points' foot parameters and signed offsets; where
+        they are not given, each block of points is projected here. Memory
+        is bounded for any number of points and any upsampling: points go in
+        blocks of _EVAL_CHUNK, and both per-point tables, the layer
+        quadrature's (points, sources) and the Taylor series' (points,
+        modes), hold at most _BLOCK_BUDGET entries at a time."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        s_taylor, band_out = self.extension_bands()
+        sp_max = float(np.max(self.dtn.speed))
         out_v = np.empty(len(x))
         out_g = np.empty((len(x), 2))
         for start in range(0, len(x), _EVAL_CHUNK):
-            sl = slice(start, min(start + _EVAL_CHUNK, len(x)))
+            sl = slice(start, start + _EVAL_CHUNK)
+            xb, vals, grads = x[sl], out_v[sl], out_g[sl]  # views of the outputs
             if t is None:
-                tb, sb, _ = self.curve.nearest_point_many(x[sl])
+                tb, sb, _ = self.curve.nearest_point_many(xb)
             else:
                 tb, sb = t[sl], s[sl]
-            v, g = self._evaluate_block(x[sl], tb, sb)
-            out_v[sl] = v
-            out_g[sl] = g
+            if np.any(sb > band_out * (1 + 1e-12)):
+                raise OutOfDomainError(
+                    "point beyond the exterior harmonic-extension band"
+                )
+            near = sb > -s_taylor  # includes all exterior points
+            idx_near = np.flatnonzero(near)
+            modes = len(self._continuation()[0]) if len(idx_near) else 1
+            rows = max(1, _BLOCK_BUDGET // (2 * modes))
+            for i in range(0, len(idx_near), rows):
+                sub = idx_near[i:i + rows]
+                vals[sub], grads[sub] = self._taylor_eval(tb[sub], sb[sub])
+            idx_far = np.flatnonzero(~near)
+            if len(idx_far):
+                need = _RESOLUTION_FACTOR * sp_max / (self.dtn.N * -sb[idx_far])
+                factors = np.minimum(
+                    _MAX_UPSAMPLE, 2 ** np.ceil(np.log2(np.maximum(need, 1.0)))
+                ).astype(int)
+                for f in np.unique(factors):
+                    sub = idx_far[factors == f]
+                    vals[sub], grads[sub] = self._layer_eval(xb[sub], int(f))
         return out_v, out_g
 
-    def _evaluate_block(self, x, t, s):
-        s_taylor, band_out = self.extension_bands()
-        if np.any(s > band_out * (1 + 1e-12)):
-            raise OutOfDomainError(
-                "point beyond the exterior harmonic-extension band"
-            )
-        vals = np.empty(len(x))
-        grads = np.empty((len(x), 2))
-        near = s > -s_taylor  # includes all exterior points
-        idx_near = np.flatnonzero(near)
-        modes = len(self._continuation()[0]) if len(idx_near) else 1
-        rows = max(1, _BLOCK_BUDGET // (2 * modes))
-        for start in range(0, len(idx_near), rows):
-            sub = idx_near[start:start + rows]
-            vals[sub], grads[sub] = self._taylor_eval(t[sub], s[sub])
-        far = ~near
-        if np.any(far):
-            d = -s[far]
-            sp_max = float(np.max(self.dtn.speed))
-            need = _RESOLUTION_FACTOR * sp_max / (self.dtn.N * d)
-            factors = np.minimum(
-                _MAX_UPSAMPLE, 2 ** np.ceil(np.log2(np.maximum(need, 1.0)))
-            ).astype(int)
-            idx_far = np.where(far)[0]
-            for f in np.unique(factors):
-                sub = idx_far[factors == f]
-                v, g = self._layer_eval(x[sub], int(f))
-                vals[sub] = v
-                grads[sub] = g
-        return vals, grads
-
     def evaluate(self, x):
-        v, g = self.evaluate_many(np.asarray(x, dtype=float)[None, :])
+        v, g = self.evaluate_many(x)
         return float(v[0]), g[0]
+
+
+def _modes_above(spec, floor):
+    """Mask of the FFT-ordered modes above floor times the largest magnitude,
+    less the unpaired Nyquist mode, which is below noise for resolved pairs."""
+    mag = np.abs(spec)
+    keep = mag > floor * max(np.max(mag), 1e-300)
+    keep[len(spec) // 2] = False
+    return keep
+
+
+def _fold(spec):
+    """Fold mode -k of an FFT-ordered spectrum (along axis 0, Nyquist mode
+    zero) onto k, exact under Re: Re(c e^{-ikt}) = Re(conj(c) e^{ikt})."""
+    h = len(spec) // 2
+    return np.concatenate([spec[:1], spec[1:h] + np.conj(spec[:h:-1])])
 
 
 def _pad_spectrum(spec, Nf):

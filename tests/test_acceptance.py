@@ -4,7 +4,7 @@ Each test records a single [PASS]/[FAIL] verdict line; conftest prints the
 collected lines in the terminal summary so they stay visible under capture.
 """
 
-import copy
+import dataclasses
 import time
 
 import numpy as np
@@ -29,11 +29,11 @@ def _report(num, name, ok, detail=""):
 
 def _rotated_copy(pair_a, pair_b, phi):
     """Synthetic eigenpair from a rotation inside a degenerate eigenspace."""
-    fake = copy.copy(pair_a)
-    fake.trace = np.cos(phi) * pair_a.trace + np.sin(phi) * pair_b.trace
-    fake.density = np.cos(phi) * pair_a.density + np.sin(phi) * pair_b.density
-    fake._cont = {}
-    return fake
+    return dataclasses.replace(
+        pair_a,
+        trace=np.cos(phi) * pair_a.trace + np.sin(phi) * pair_b.trace,
+        density=np.cos(phi) * pair_a.density + np.sin(phi) * pair_b.density,
+    )
 
 
 def test_criterion_01_disk_spectrum():

@@ -30,7 +30,7 @@ from steklab.frequency import (
 )
 from steklab.frequency import _ball_mean, _disk_integral, _gauss, _refine
 from steklab.nodal import solid_mass_v
-from steklab.steklov import build_dtn, solve_spectrum
+from steklab.steklov import SteklovEigenpair, build_dtn, solve_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -100,18 +100,21 @@ class TestCoefficientField:
     def test_zero_coefficients(self):
         c = zero_coefficients()
         x = np.array([[0.2, 0.3]])
-        assert np.allclose(c.A(x)[0], np.eye(2))
-        assert np.allclose(c.b(x), 0.0)
-        assert c.c(x)[0] == 0.0
+        A, b, cc = c(x)
+        assert np.allclose(A[0], np.eye(2))
+        assert np.allclose(b, 0.0)
+        assert cc[0] == 0.0
         alpha, gamma, K = c.check_assumptions(x, (x, x + 0.1))
         assert alpha == pytest.approx(1.0)
         assert gamma == pytest.approx(0.0)
 
     def test_measured_assumptions(self):
         skew = CoefficientField(
-            A=lambda x: np.tile(np.diag([5.0, 0.1]), (len(x), 1, 1)),
-            b=lambda x: np.zeros((len(x), 2)),
-            c=lambda x: np.zeros(len(x)),
+            lambda x: (
+                np.tile(np.diag([5.0, 0.1]), (len(x), 1, 1)),
+                np.zeros((len(x), 2)),
+                np.zeros(len(x)),
+            )
         )
         alpha, _, K = skew.check_assumptions(np.zeros((1, 2)))
         assert alpha == pytest.approx(0.1)
@@ -126,9 +129,11 @@ class TestCoefficientField:
 
     def test_center_must_normalize_metric(self, deg3):
         skew = CoefficientField(
-            A=lambda x: np.tile(np.diag([2.0, 1.0]), (len(x), 1, 1)),
-            b=lambda x: np.zeros((len(x), 2)),
-            c=lambda x: np.zeros(len(x)),
+            lambda x: (
+                np.tile(np.diag([2.0, 1.0]), (len(x), 1, 1)),
+                np.zeros((len(x), 2)),
+                np.zeros(len(x)),
+            )
         )
         with pytest.raises(InvalidCenterError):
             frequency_profile(
@@ -185,9 +190,10 @@ class TestVTransform:
         nu = pair.curve.normal(t)
         x0 = pair.curve.point(t)
         eps = 1e-6
-        assert np.max(np.abs(coeffs.A(x0 - eps * nu) - coeffs.A(x0 + eps * nu))) < 1e-4
-        ci = coeffs.c(x0 - eps * nu)[0]
-        co = coeffs.c(x0 + eps * nu)[0]
+        Ai, _, ci = coeffs(x0 - eps * nu)
+        Ao, _, co = coeffs(x0 + eps * nu)
+        assert np.max(np.abs(Ai - Ao)) < 1e-4
+        ci, co = ci[0], co[0]
         assert abs(ci - co) < 1e-3 * max(abs(ci), 1.0)
 
     def test_assumption_bounds_recorded(self, transformed):
@@ -198,13 +204,13 @@ class TestVTransform:
 
 def fd_drift(coeffs, tube, lam, x, h):
     """Oracle: exterior drift -div A + (Lap Psi)(mirror) - 2 lam nu, with
-    div A from central differences of coeffs.A and Lap Psi from second
+    div A from central differences of the field's A and Lap Psi from second
     differences of the reflection, Richardson-extrapolated from h and h/2."""
 
     def once(h):
         e = np.eye(2) * h
         div_a = sum(
-            (coeffs.A(x + e[j])[:, :, j] - coeffs.A(x - e[j])[:, :, j]) / (2 * h)
+            (coeffs(x + e[j])[0][:, :, j] - coeffs(x - e[j])[0][:, :, j]) / (2 * h)
             for j in range(2)
         )
         xm = geometry.reflect_many(tube, x)
@@ -230,7 +236,7 @@ class TestVTransformClosedForm:
         t = rng.uniform(0, 2 * np.pi, 100)
         s = rng.uniform(0.1, 0.9, 100) * tube.delta
         x = curve.point(t) + s[:, None] * curve.normal(t)
-        b = coeffs.b(x)
+        _, b, _ = coeffs(x)
         want = fd_drift(coeffs, tube, pair.eigenvalue, x, 1.25e-3)
         assert np.max(np.abs(b - want)) < 1e-8 * np.max(np.abs(b))
 
@@ -245,15 +251,34 @@ class TestVTransformClosedForm:
         monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
         pair, tube, _, _ = transformed
         field, coeffs = v_transform(pair, tube)
-        assert len(calls) <= 4
+        assert len(calls) <= 2  # check_assumptions: one per probe side
         t = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         x = pair.curve.point(t) + 0.1 * np.where(t < np.pi, 1, -1)[:, None] * (
             pair.curve.normal(t)
         )
-        for call in (coeffs.A, coeffs.b, coeffs.c, field):
+        for call in (coeffs, field):
             calls.clear()
             call(x)
             assert calls == [8]
+
+    def test_one_evaluation_of_u_per_call(self, transformed, monkeypatch):
+        # the v field hands its tube coordinates to evaluate_many, once, with
+        # every point, so the benchmark tracer counts the v field's points
+        calls = []
+        evaluate = SteklovEigenpair.evaluate_many
+
+        def recording(self, x, *args, **kwargs):
+            calls.append(len(np.atleast_2d(x)))
+            return evaluate(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(SteklovEigenpair, "evaluate_many", recording)
+        pair, _, field, _ = transformed
+        t = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+        x = pair.curve.point(t) + 0.1 * np.where(t < np.pi, 1, -1)[:, None] * (
+            pair.curve.normal(t)
+        )
+        field(x)
+        assert calls == [12]
 
 
 class TestFrameTraffic:
@@ -292,7 +317,7 @@ class TestFrameTraffic:
         # offsets in the Taylor band (0.03) and beyond it (0.1), on both sides
         s = np.tile([-0.1, -0.03, 0.03, 0.1], 4)
         x = pair.curve.point(t) + s[:, None] * pair.curve.normal(t)
-        for call, most in ((coeffs.A, 1), (coeffs.b, 1), (coeffs.c, 1), (field, 3)):
+        for call, most in ((coeffs, 1), (field, 3)):
             series_calls.update(projection=0, other=0)
             call(x)
             assert series_calls["projection"] > 0

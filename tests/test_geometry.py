@@ -319,7 +319,7 @@ class TestTube:
         tube = geometry.TubeNeighborhood(pair.curve, 0.6)
         _, coeffs = v_transform(pair, tube)
         lam = pair.eigenvalue
-        val = (lam**2 - coeffs.c(np.array([0.5, 0.0]))[0]) / lam
+        val = (lam**2 - coeffs(np.array([0.5, 0.0]))[2][0]) / lam
         assert val == pytest.approx(-2.0, rel=1e-10)
 
 
@@ -365,7 +365,7 @@ class TestReflection:
         J = reflection_jacobian(tube, x)
         assert np.allclose(J @ J.T, np.diag([1.0, 2.25]), atol=1e-7)
         _, coeffs = v_transform(disk_spectrum[1], tube)
-        A = coeffs.A(np.array([1.2, 0.0]))[0]
+        A = coeffs(np.array([1.2, 0.0]))[0][0]
         assert np.allclose(A, np.diag([1.0, 2.25]), atol=1e-12)
 
     def test_jacobian_closed_matches_fd(self, ellipse_spectrum):
@@ -381,7 +381,7 @@ class TestReflection:
             s = rng.uniform(0.01, 0.3)
             x = c.point(np.array([t]))[0] + s * c.normal(np.array([t]))[0]
             J_fd = reflection_jacobian(tube, geometry.reflect_many(tube, x)[0])
-            assert np.allclose(J_fd @ J_fd.T, coeffs.A(x)[0], atol=1e-6)
+            assert np.allclose(J_fd @ J_fd.T, coeffs(x)[0][0], atol=1e-6)
 
     def test_identity_on_boundary(self):
         c = geometry.perturbed_disk(0.1, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -66,13 +67,9 @@ class TestBoundaryZeros:
 
     def test_tangential_flag(self, disk_spectrum):
         # f^2 touches zero without crossing; build it from a degenerate pair
-        import copy
-
         pair = disk_spectrum[5]
-        fake = copy.copy(pair)
         trace = pair.trace - np.min(pair.trace)  # >= 0, touches 0
-        fake.trace = trace
-        fake._cont = {}
+        fake = dataclasses.replace(pair, trace=trace)
         rep = boundary_zeros(fake, flag_rel=1e-5)
         assert rep.count == 0 or len(rep.tangential_flags) > 0
 
@@ -81,15 +78,11 @@ class TestBoundaryZeros:
         # cos 3t minus its minimum touches zero on the grid sample t = pi;
         # whichever sign round-off or the offset gives that sample, the
         # touching zero is flagged once and not counted
-        import copy
-
         a, b = disk_spectrum[5], disk_spectrum[6]
         basis = np.stack([a.trace, b.trace], axis=1)
         coef, *_ = np.linalg.lstsq(basis, np.cos(3 * a.dtn.t), rcond=None)
         f = basis @ coef
-        fake = copy.copy(a)
-        fake.trace = f - np.min(f) + offset * np.max(np.abs(f))
-        fake._cont = {}
+        fake = dataclasses.replace(a, trace=f - np.min(f) + offset * np.max(np.abs(f)))
         rep = boundary_zeros(fake)
         assert rep.count == 0
         h = 2 * np.pi / rep.samples
@@ -98,15 +91,11 @@ class TestBoundaryZeros:
     def test_tangential_zero_run_through_t_zero(self, disk_spectrum):
         # -cos 3t minus its minimum touches zero at 0, 2pi/3 and 4pi/3; the
         # near-zero run about t = 0 wraps past 2pi and is flagged once
-        import copy
-
         a, b = disk_spectrum[5], disk_spectrum[6]
         basis = np.stack([a.trace, b.trace], axis=1)
         coef, *_ = np.linalg.lstsq(basis, -np.cos(3 * a.dtn.t), rcond=None)
         f = basis @ coef
-        fake = copy.copy(a)
-        fake.trace = f - np.min(f)
-        fake._cont = {}
+        fake = dataclasses.replace(a, trace=f - np.min(f))
         rep = boundary_zeros(fake, samples=20000, flag_rel=1e-5)
         assert rep.count == 0
         assert len(rep.tangential_flags) == 3

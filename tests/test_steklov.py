@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,41 @@ class TestSpectrum:
         data["curve"] = json.loads(ellipse_curve.to_json())
         with pytest.raises(SolverError):
             SpectrumSlice.from_json(json.dumps(data))
+
+
+class TestTrace:
+    @pytest.mark.parametrize(
+        "curve, j", [("disk", 80), ("ellipse", 7), ("ellipse", 40), ("ellipse", 99)]
+    )
+    def test_folded_modes_match_dense_spectrum(
+        self, curve, j, disk_spectrum, ellipse_spectrum
+    ):
+        # the stored modes have k >= 0, -k folded onto k; their sum matches
+        # the +-k interpolant of the modes above the same relative floor
+        pair = (disk_spectrum if curve == "disk" else ellipse_spectrum)[j]
+        assert np.all(pair._trace_modes()[0] >= 0)
+        N = pair.dtn.N
+        fhat = np.fft.fft(pair.trace) / N
+        k = np.fft.fftfreq(N, 1.0 / N)
+        keep = (np.abs(fhat) > 1e-14 * np.max(np.abs(fhat))) & (np.abs(k) < N // 2)
+        t = np.random.default_rng(j).uniform(0, 2 * np.pi, 1000)
+        e = np.exp(1j * np.outer(t, k[keep]))
+        ref = np.real(e @ fhat[keep])
+        ref_dt = np.real(e @ (1j * k[keep] * fhat[keep]))
+        f, df = pair.trace_at(t, derivative=True)
+        assert np.max(np.abs(f - ref)) <= 2e-15 * np.max(np.abs(ref))
+        assert np.max(np.abs(df - ref_dt)) <= 2e-15 * np.max(np.abs(ref_dt))
+
+    def test_replaced_pair_reads_its_own_trace(self, ellipse_spectrum):
+        pair = ellipse_spectrum[7]
+        t = np.linspace(0, 2 * np.pi, 9)
+        x = pair.curve.point(t) * 0.9
+        f, (u, _) = pair.trace_at(t), pair.evaluate_many(x)  # fill the caches
+        doubled = dataclasses.replace(
+            pair, trace=2 * pair.trace, density=2 * pair.density
+        )
+        assert np.allclose(doubled.trace_at(t), 2 * f, rtol=1e-14, atol=0)
+        assert np.allclose(doubled.evaluate_many(x)[0], 2 * u, rtol=1e-12, atol=0)
 
 
 class TestExtension:

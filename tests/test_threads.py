@@ -14,7 +14,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
-import copy, sys
+import dataclasses, sys
 import numpy as np
 from steklab import geometry
 from steklab.nodal import boundary_zeros
@@ -23,9 +23,7 @@ from steklab.steklov import build_dtn, solve_spectrum
 spectrum = solve_spectrum(build_dtn(geometry.disk(), 512), 81)
 reports = [boundary_zeros(pair) for pair in spectrum]
 # the input of test_nodal.py::TestBoundaryZeros::test_tangential_flag
-fake = copy.copy(spectrum[5])
-fake.trace = spectrum[5].trace - np.min(spectrum[5].trace)
-fake._cont = {}
+fake = dataclasses.replace(spectrum[5], trace=spectrum[5].trace - np.min(spectrum[5].trace))
 reports.append(boundary_zeros(fake, flag_rel=1e-5))
 np.savez(
     sys.argv[1],

@@ -14,14 +14,15 @@ first. ``perfbench/run.py`` pins ``OPENBLAS_NUM_THREADS`` itself; its
 ``env`` line reports the value.
 
 The output holds, per workload, the last line of every run (its result
-JSON, with the seed and whether it ran first), every traced run under
-``traced_runs``, and under ``traced`` each side's traced run with the
-lowest ``trace.overhead``: other load on the host slows traced rounds
-more than untraced ones, so that run is the least contended. It also
-holds a summary of each end-to-end metric: median and quartiles per side
-and the pairs the change won, and the ``env`` line of the first run,
-as ``OPENBLAS_NUM_THREADS`` the thread count every run reported, and as
-``src_lines`` the total line count of ``src/steklab/*.py`` in each tree.
+JSON, with the seed and whether it ran first) and every traced run under
+``traced_runs``. No traced run is singled out: ``trace.overhead`` compares
+the traced rounds with the untraced ones of the same run, and their spread
+from round to round is larger than the cost of tracing, so the metric reads
+below zero as often as not. It also holds a summary of each end-to-end
+metric: median and quartiles per side and the pairs the change won, and
+the ``env`` line of the first run, as ``OPENBLAS_NUM_THREADS`` the thread
+count every run reported, and as ``src_lines`` the total line count of
+``src/steklab/*.py`` in each tree.
 The file is rewritten after every run, so stopping the script keeps the
 runs made.
 """
@@ -91,8 +92,7 @@ def main(argv=None):
         "env": None,
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": {
-            w: {"parent": [], "change": [], "traced": {},
-                "traced_runs": {side: [] for side in SIDES}}
+            w: {"parent": [], "change": [], "traced_runs": {s: [] for s in SIDES}}
             for w in names
         },
     }
@@ -108,10 +108,6 @@ def main(argv=None):
         runs = doc["workloads"][workload]
         if trace:
             runs["traced_runs"][side].append(entry)
-            runs["traced"][side] = min(
-                runs["traced_runs"][side],
-                key=lambda r: r["metrics"]["trace.overhead"]["value"],
-            )
         else:
             runs[side].append(entry)
             runs["summary"] = summarize(runs, spec["end_to_end"])
