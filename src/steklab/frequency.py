@@ -118,7 +118,8 @@ class CoefficientField:
     def check_assumptions(self, probes, pairs=None):
         """Measured (alpha, gamma, K) over probe points and probe pairs:
         ellipticity alpha, Lipschitz constant gamma of A, and the sup bound
-        K of all coefficients."""
+        K of all coefficients. A side of `pairs` is an array of points, or
+        an integer index array into the probes, which reuses their A."""
         probes = np.atleast_2d(probes)
         A, b, c = self(probes)
         alpha = float(np.min(np.linalg.eigvalsh(A)))
@@ -129,9 +130,10 @@ class CoefficientField:
         )
         gamma = 0.0
         if pairs is not None:
-            xs, ys = pairs
-            # a side that is the probe array itself reuses its A values
-            Ax, Ay = (A if side is probes else self(side)[0] for side in pairs)
+            pairs = [np.asarray(side) for side in pairs]
+            indexed = [side.dtype.kind in "iu" for side in pairs]
+            xs, ys = (probes[side] if i else side for side, i in zip(pairs, indexed))
+            Ax, Ay = (A[side] if i else self(side)[0] for side, i in zip(pairs, indexed))
             dA = np.abs(Ax - Ay).max(axis=(1, 2))
             dist = np.linalg.norm(xs - ys, axis=1)
             good = dist > 1e-12
@@ -594,7 +596,7 @@ def v_transform(pair, tube):
     rim = curve.frame(tt)
     probes = np.concatenate([rim.point + o * rim.nu for o in offs])
     perm = np.random.default_rng(1).permutation(len(probes))
-    alpha, gamma, K = cfield.check_assumptions(probes, (probes, probes[perm]))
+    alpha, gamma, K = cfield.check_assumptions(probes, (np.arange(len(probes)), perm))
     cfield.alpha, cfield.gamma, cfield.K = alpha, gamma, K
     return vfield, cfield
 

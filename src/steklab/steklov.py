@@ -8,10 +8,15 @@ handled by the plain trapezoid rule. The kernel is rescaled by the curve
 diameter so the single-layer matrix stays away from the unit-capacity
 degeneracy.
 
-Near and across the boundary the potential is evaluated through a Taylor
-expansion in the normal offset whose coefficients are grid functions of the
-boundary parameter, computed recursively from harmonicity in tube coordinates.
-This also provides the thin-band harmonic continuation outside the domain.
+Inside the domain u is evaluated, where the fit is certified, as Re p for
+one complex polynomial p per eigenpair: a least-squares fit to the trace in a
+Newton basis at Leja points of the boundary (Reichel, BIT 30 (1990)), whose
+boundary residual bounds the interior error by the maximum principle. In the
+thin exterior band, and inside for pairs without a certificate, the potential
+is evaluated near the boundary through a Taylor expansion in the normal
+offset whose coefficients are grid functions of the boundary parameter,
+computed recursively from harmonicity in tube coordinates, and deeper inside
+by the layer quadrature, upsampled by depth.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ _RESOLUTION_FACTOR = 40.0  # target exp(-40) quadrature tail
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
 _EVAL_CHUNK = 4096  # points per foot-point and Taylor block of evaluate_many
 _BLOCK_BUDGET = 2**15  # entries of one layer or Taylor block table: 256 KB stays in L2
+_POLY_RTOL = 1e-13  # certificate: boundary residual of the fit over sup of the trace
+_POLY_START = 16  # first degree of the doubling degree search
+_POLY_MAX_DEGREE = 256  # last degree tried, and at most N/2
 
 
 def _log_circulant(N):
@@ -281,6 +289,53 @@ class SteklovEigenpair:
             grad[sl, 1] = -(1.0 / TWO_PI) * np.einsum("pj,pj->p", dy, w)
         return vals, grad
 
+    # -- certified harmonic polynomial -------------------------------------------
+
+    def _poly(self):
+        """(nodes, inverse scales, coefficients, residual) of u = Re p, or None.
+
+        p is a complex polynomial in a Newton basis at Leja points of 4N
+        boundary samples, each basis column scaled by its largest magnitude
+        on the samples, fitted to trace_at there by least squares at degrees
+        _POLY_START, 2 _POLY_START, ... up to min(_POLY_MAX_DEGREE, N/2).
+        The first degree whose max|Re p - trace| on 8N samples offset from
+        the fit's is at most _POLY_RTOL of sup holds: by the maximum
+        principle that residual bounds the error of Re p inside the domain.
+        A pair with no such degree caches None.
+        """
+        if "poly" in self._cont:
+            return self._cont["poly"]
+        N = self.dtn.N
+        t_fit = np.linspace(0.0, TWO_PI, 4 * N, endpoint=False)
+        t_chk = (np.arange(8 * N) + 0.5) * (TWO_PI / (8 * N))
+        z, z_chk = (_complex(self.curve.point(t)) for t in (t_fit, t_chk))
+        f, f_chk = self.trace_at(t_fit), self.trace_at(t_chk)
+        tol = _POLY_RTOL * np.max(np.abs(f_chk))
+        # Leja nodes: the sample farthest from the centroid, then each where
+        # the last scaled column peaks on the samples
+        cols, nodes, inv = [np.ones(len(z), dtype=complex)], [], []
+        fit, n = None, _POLY_START
+        while fit is None and n <= min(_POLY_MAX_DEGREE, N // 2):
+            while len(cols) <= n:
+                peak = cols[-1] if nodes else z - np.mean(z)
+                nodes.append(z[np.argmax(np.abs(peak))])
+                w = cols[-1] * (z - nodes[-1])
+                inv.append(1.0 / np.max(np.abs(w)))
+                cols.append(w * inv[-1])
+            # Re p = sum Re(a_k) Re phi_k - Im(a_k) Im phi_k; Im phi_0 = 0
+            phi = np.stack(cols, axis=1)
+            x = scipy.linalg.lstsq(
+                np.hstack([phi.real, phi.imag[:, 1:]]), f, lapack_driver="gelsy"
+            )[0]
+            coef = x[: n + 1] - 1j * np.r_[0.0, x[n + 1:]]
+            trial = (np.array(nodes), np.array(inv), coef)
+            resid = np.max(np.abs(_horner(trial, z_chk)[0].real - f_chk))
+            if resid <= tol:
+                fit = trial + (float(resid),)
+            n *= 2
+        self._cont["poly"] = fit
+        return fit
+
     # -- public evaluation ---------------------------------------------------------
 
     def extension_bands(self):
@@ -299,11 +354,16 @@ class SteklovEigenpair:
         exterior extension band.
 
         t and s are the points' foot parameters and signed offsets; where
-        they are not given, each block of points is projected here. Memory
-        is bounded for any number of points and any upsampling: points go in
-        blocks of _EVAL_CHUNK, and both per-point tables, the layer
-        quadrature's (points, sources) and the Taylor series' (points,
-        modes), hold at most _BLOCK_BUDGET entries at a time."""
+        they are not given, each block of points is projected here, because
+        the band check and the routing read s. A point with s <= 0 reads the
+        certified polynomial u = Re p, grad u = (Re p', -Im p') of `_poly`
+        when the pair has one. The rest take the normal Taylor series when
+        s > -s_taylor, which includes every exterior point, and otherwise
+        the layer quadrature, upsampled by depth. Memory is bounded for any
+        number of points and any upsampling: points go in blocks of
+        _EVAL_CHUNK, and both per-point tables, the layer quadrature's
+        (points, sources) and the Taylor series' (points, modes), hold at
+        most _BLOCK_BUDGET entries at a time."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         s_taylor, band_out = self.extension_bands()
         sp_max = float(np.max(self.dtn.speed))
@@ -320,14 +380,21 @@ class SteklovEigenpair:
                 raise OutOfDomainError(
                     "point beyond the exterior harmonic-extension band"
                 )
+            inside = sb <= 0
+            fit = self._poly() if np.any(inside) else None
+            if fit is not None:
+                p, dp = _horner(fit, _complex(xb[inside]))
+                vals[inside] = p.real
+                grads[inside] = np.stack([dp.real, -dp.imag], axis=1)
+            todo = ~inside if fit is not None else np.ones_like(inside)
             near = sb > -s_taylor  # includes all exterior points
-            idx_near = np.flatnonzero(near)
+            idx_near = np.flatnonzero(near & todo)
             modes = len(self._continuation()[0]) if len(idx_near) else 1
             rows = max(1, _BLOCK_BUDGET // (2 * modes))
             for i in range(0, len(idx_near), rows):
                 sub = idx_near[i:i + rows]
                 vals[sub], grads[sub] = self._taylor_eval(tb[sub], sb[sub])
-            idx_far = np.flatnonzero(~near)
+            idx_far = np.flatnonzero(~near & todo)
             if len(idx_far):
                 need = _RESOLUTION_FACTOR * sp_max / (self.dtn.N * -sb[idx_far])
                 factors = np.minimum(
@@ -341,6 +408,24 @@ class SteklovEigenpair:
     def evaluate(self, x):
         v, g = self.evaluate_many(x)
         return float(v[0]), g[0]
+
+
+def _complex(points):
+    """(P, 2) points as complex numbers x + iy."""
+    return points[:, 0] + 1j * points[:, 1]
+
+
+def _horner(fit, z):
+    """p(z) and p'(z) of a `_poly` fit by Horner's rule: the basis is
+    phi_0 = 1, phi_k = phi_{k-1} (z - nodes[k-1]) inv[k-1]."""
+    nodes, inv, coef = fit[:3]
+    p = np.full(len(z), coef[-1])
+    dp = np.zeros(len(z), dtype=complex)
+    for k in range(len(nodes) - 1, -1, -1):
+        y = z - nodes[k]
+        dp = (dp * y + p) * inv[k]
+        p = coef[k] + y * inv[k] * p
+    return p, dp
 
 
 def _modes_above(spec, floor):

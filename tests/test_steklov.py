@@ -15,6 +15,14 @@ from steklab.steklov import (
 from conftest import disk_mode_coefficients
 
 
+@pytest.fixture
+def uncertified(monkeypatch):
+    """A fresh copy of a pair with the degree cap at 0: it has no certified
+    polynomial, so evaluate_many takes the Taylor and layer kernels."""
+    monkeypatch.setattr(steklov, "_POLY_MAX_DEGREE", 0)
+    return dataclasses.replace
+
+
 def disk_exact_eigenvalues(count):
     vals = [0.0]
     k = 1
@@ -212,13 +220,13 @@ class TestExtension:
             pair.eigenvalue**2
         )
 
-    def test_layer_memory_bounded(self, disk_spectrum):
+    def test_layer_memory_bounded(self, disk_spectrum, uncertified):
         # 4096 points just past the Taylor band of the lambda = 40 mode need
         # 8x upsampled layer quadrature; one (4096, 4096, 2) table peaked
         # at 512 MB
         import tracemalloc
 
-        pair = disk_spectrum[80]
+        pair = uncertified(disk_spectrum[80])
         s_taylor, _ = pair.extension_bands()
         r = 1.0 - 1.01 * s_taylor
         th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
@@ -233,12 +241,12 @@ class TestExtension:
         assert peak < 128 * 2**20
         assert np.max(np.abs(u - r**40 * pair.trace_at(th))) <= 1e-12
 
-    def test_taylor_memory_bounded(self, ellipse_spectrum):
+    def test_taylor_memory_bounded(self, ellipse_spectrum, uncertified):
         # 4096 points inside the Taylor band of a 256-mode pair; one
         # (4096, 256) complex phase table and its products peaked at 32 MB
         import tracemalloc
 
-        pair = ellipse_spectrum[7]
+        pair = uncertified(ellipse_spectrum[7])
         s_taylor, _ = pair.extension_bands()
         t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         f = pair.curve.frame(t)
@@ -287,11 +295,11 @@ class TestExtension:
 
     @pytest.mark.parametrize("budget", [2**10, 8191])
     def test_block_budget_changes_no_number(
-        self, budget, ellipse_spectrum, monkeypatch
+        self, budget, ellipse_spectrum, monkeypatch, uncertified
     ):
         # Taylor points and layer points at every upsampling factor 1..16
         # (8191 is below one row of the 16x source table, N = 512)
-        pair = ellipse_spectrum[99]
+        pair = uncertified(ellipse_spectrum[99])
         s_taylor, _ = pair.extension_bands()
         depth = np.concatenate(
             [np.linspace(0.1, 0.9, 40) * s_taylor, np.geomspace(1.01 * s_taylor, 0.4, 160)]
@@ -332,6 +340,133 @@ class TestExtension:
             v, _ = pair.evaluate_many(p[None, :] + stencil)
             lap = (v[1] + v[2] + v[3] + v[4] - 4 * v[0]) / h**2
             assert abs(lap) < 1e-5 * max(abs(v[0]), 1.0)
+
+
+@pytest.fixture(scope="module")
+def perturbed_spectrum():
+    """First 100 perturbed_disk(0.1, 3) eigenpairs at N = 512."""
+    return solve_spectrum(build_dtn(geometry.perturbed_disk(0.1, 3), 512), 100)
+
+
+@pytest.fixture(scope="module")
+def rough_spectrum():
+    """First 41 perturbed_disk(0.2, 5) eigenpairs at N = 512."""
+    return solve_spectrum(build_dtn(geometry.perturbed_disk(0.2, 5), 512), 41)
+
+
+def interior_points(curve, depth, count, seed):
+    """`count` seeded points of the domain at distance > depth from the curve."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.min(curve.probe_points, axis=0), np.max(curve.probe_points, axis=0)
+    x = rng.uniform(lo, hi, (20 * count, 2))
+    _, s, _ = curve.nearest_point_many(x)
+    return x[s < -depth][:count]
+
+
+class TestCertifiedPolynomial:
+    @pytest.mark.parametrize("j", [5, 24, 80])
+    def test_disk_modes_exact(self, j, disk_spectrum):
+        # mode k extends to r^k trace(theta); its gradient is
+        # k r^(k-1) trace e_r + r^(k-1) trace' e_theta
+        pair, k = disk_spectrum[j], (j + 1) // 2
+        assert pair._poly() is not None
+        rng = np.random.default_rng(j)
+        r = np.sqrt(rng.uniform(0.0, 1.0, 2000))
+        th = rng.uniform(0.0, 2 * np.pi, 2000)
+        e_r = np.stack([np.cos(th), np.sin(th)], axis=1)
+        e_th = np.stack([-np.sin(th), np.cos(th)], axis=1)
+        u, g = pair.evaluate_many(r[:, None] * e_r)
+        f, df = pair.trace_at(th, derivative=True)
+        want = r[:, None] ** (k - 1) * (k * f[:, None] * e_r + df[:, None] * e_th)
+        sup = np.max(np.abs(pair.trace))
+        assert np.max(np.abs(u - r**k * f)) <= 1e-13 * sup
+        assert np.max(np.abs(g - want)) <= 1e-13 * k * sup
+
+    @pytest.mark.parametrize("curve", ["ellipse", "perturbed"])
+    @pytest.mark.parametrize("j", [7, 40, 99])
+    def test_deep_points_match_layer_quadrature(
+        self, curve, j, ellipse_spectrum, perturbed_spectrum
+    ):
+        pair = (ellipse_spectrum if curve == "ellipse" else perturbed_spectrum)[j]
+        assert pair._poly() is not None
+        x = interior_points(pair.curve, 0.1, 400, j)
+        u, g = pair.evaluate_many(x)
+        ref_u, ref_g = pair._layer_eval(x, 16)
+        sup = np.max(np.abs(pair.trace))
+        assert np.max(np.abs(u - ref_u)) <= 1e-13 * sup
+        assert np.max(np.abs(g - ref_g)) <= 1e-13 * pair.eigenvalue * sup
+
+    @pytest.mark.parametrize("curve", ["ellipse", "perturbed"])
+    @pytest.mark.parametrize("j", [3, 7])
+    def test_inner_edge_of_taylor_band(
+        self, curve, j, ellipse_spectrum, perturbed_spectrum
+    ):
+        # at small lambda the normal Taylor series misses the layer value at
+        # depth 0.99 s_taylor by up to 2.9e-8 of sup (2.0e-6 lambda sup in
+        # the gradient); the certified polynomial does not
+        pair = (ellipse_spectrum if curve == "ellipse" else perturbed_spectrum)[j]
+        s_taylor, _ = pair.extension_bands()
+        t = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+        f = pair.curve.frame(t)
+        x = f.point - 0.99 * s_taylor * f.nu
+        u, g = pair.evaluate_many(x)
+        ref_u, ref_g = pair._layer_eval(x, 16)
+        sup = np.max(np.abs(pair.trace))
+        assert np.max(np.abs(u - ref_u)) <= 1e-13 * sup
+        assert np.max(np.abs(g - ref_g)) <= 1e-11 * pair.eigenvalue * sup
+
+    def test_forced_fallback_reads_the_kernels(self, ellipse_spectrum, uncertified):
+        # without a certificate every point takes the Taylor series (exterior
+        # band and s > -s_taylor) or the layer quadrature, bit for bit
+        pair = uncertified(ellipse_spectrum[7])
+        s_taylor, band_out = pair.extension_bands()
+        t = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
+        f = pair.curve.frame(t)
+        s_near = np.r_[np.full(15, 0.5 * band_out), np.full(15, -0.5 * s_taylor)]
+        x_near = f.point + s_near[:, None] * f.nu
+        x_deep = interior_points(pair.curve, 0.3, 30, 7)  # upsampling factor 1
+        u, g = pair.evaluate_many(np.concatenate([x_near, x_deep]))
+        assert pair._cont["poly"] is None
+        t_near, s_near, _ = pair.curve.nearest_point_many(x_near)
+        ref = [pair._taylor_eval(t_near, s_near), pair._layer_eval(x_deep, 1)]
+        assert np.array_equal(u, np.concatenate([ref[0][0], ref[1][0]]))
+        assert np.array_equal(g, np.concatenate([ref[0][1], ref[1][1]]))
+
+    def test_exterior_band_reads_the_taylor_series(self, ellipse_spectrum):
+        pair = ellipse_spectrum[7]
+        _, band_out = pair.extension_bands()
+        t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+        f = pair.curve.frame(t)
+        x = np.concatenate([f.point + 0.5 * band_out * f.nu, 0.5 * f.point])
+        u, g = pair.evaluate_many(x)
+        assert pair._poly() is not None
+        tb, sb, _ = pair.curve.nearest_point_many(x[:40])
+        ref_u, ref_g = pair._taylor_eval(tb, sb)
+        assert np.array_equal(u[:40], ref_u) and np.array_equal(g[:40], ref_g)
+
+    @pytest.mark.parametrize("j", [3, 8, 40])
+    def test_uncertified_curve_falls_back(self, j, rough_spectrum):
+        # perturbed_disk(0.2, 5) is not a polynomial to 1e-13 at degree 256
+        import time
+
+        pair = rough_spectrum[j]
+        start = time.perf_counter()
+        assert pair._poly() is None
+        assert time.perf_counter() - start <= 0.5
+        assert pair._cont["poly"] is None  # the failure is cached
+
+    def test_outside_band_rejected_with_interior_points(self, ellipse_spectrum):
+        pair = ellipse_spectrum[7]
+        assert pair._poly() is not None
+        _, band_out = pair.extension_bands()
+        t = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+        f = pair.curve.frame(t)
+        x = np.concatenate([0.5 * f.point, f.point[:1] + 1.5 * band_out * f.nu[:1]])
+        with pytest.raises(OutOfDomainError):
+            pair.evaluate_many(x)
+        s = np.r_[np.full(8, -0.1), 1.5 * band_out]
+        with pytest.raises(OutOfDomainError):
+            pair.evaluate_many(x, np.r_[t, t[0]], s)
 
 
 class TestInteriorBound:
