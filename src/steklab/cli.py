@@ -98,8 +98,6 @@ def cmd_scaling(args):
         config.j_max = args.jmax
     if args.outdir is not None:
         config.outdir = args.outdir
-    if args.seed is not None:
-        config.seed = args.seed
     study = lab.run_scaling_study(config)
     paths = lab.write_artifacts(study, config.outdir)
     print(
@@ -189,7 +187,6 @@ def build_parser():
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--jmax", type=int, default=None)
     p.add_argument("--outdir", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("zeros-oracle", help="complex polynomial zero-count bound")

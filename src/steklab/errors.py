@@ -34,7 +34,7 @@ class InvalidCenterError(SteklabError):
 
 
 class RegionError(SteklabError):
-    """Requested ball or radius leaves the validity region of a field."""
+    """Domain lacks the shape a quadrature needs (star-shaped about its centroid)."""
 
 
 class AssumptionError(SteklabError):

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionError,
-    InvalidCenterError,
-    OutOfTubeError,
-    RegionError,
-)
+from .errors import AssumptionError, InvalidCenterError, OutOfTubeError
 from .geometry import TubeNeighborhood
 
 TWO_PI = 2.0 * np.pi
@@ -36,32 +31,16 @@ _H_FLOOR = 1e-280
 
 
 class ScalarField:
-    """A scalar function with gradient, restricted to a validity region.
+    """A scalar function with gradient: `func` maps an (P, 2) array to
+    (values, gradients). The function raises its own error at points outside
+    its domain."""
 
-    `func` maps an (P, 2) array to (values, gradients). `contains` maps an
-    (P, 2) array to a boolean mask; None means valid on the whole plane.
-    """
-
-    def __init__(self, func, contains=None, description=""):
+    def __init__(self, func):
         self._func = func
-        self._contains = contains
-        self.description = description
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self._func(x)
-
-    def contains(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self._contains is None:
-            return np.ones(len(x), dtype=bool)
-        return self._contains(x)
-
-    def require(self, x):
-        if not np.all(self.contains(x)):
-            raise RegionError(
-                f"evaluation points leave the validity region of {self.description!r}"
-            )
 
 
 def harmonic_polynomial(terms):
@@ -80,26 +59,7 @@ def harmonic_polynomial(terms):
             grads[:, 1] += -a * np.imag(dz) + b * np.real(dz)
         return vals, grads
 
-    label = "+".join(
-        f"{a:g}*Re(z^{k})+{b:g}*Im(z^{k})" for k, a, b in terms
-    )
-    return ScalarField(func, contains=None, description=f"harmonic[{label}]")
-
-
-def eigen_field(pair):
-    """The harmonic extension of a Steklov eigenpair as a ScalarField."""
-    curve = pair.curve
-    _, band_out = pair.extension_bands()
-
-    def contains(x):
-        _, s, _ = curve.nearest_point_many(x)
-        return s <= band_out
-
-    return ScalarField(
-        pair.evaluate_many,
-        contains=contains,
-        description=f"steklov[{curve.name}, lam={pair.eigenvalue:.6g}]",
-    )
+    return ScalarField(func)
 
 
 class CoefficientField:
@@ -118,8 +78,8 @@ class CoefficientField:
     def check_assumptions(self, probes, pairs=None):
         """Measured (alpha, gamma, K) over probe points and probe pairs:
         ellipticity alpha, Lipschitz constant gamma of A, and the sup bound
-        K of all coefficients. A side of `pairs` is an array of points, or
-        an integer index array into the probes, which reuses their A."""
+        K of all coefficients. `pairs` holds two integer index arrays into
+        the probes, whose A they reuse."""
         probes = np.atleast_2d(probes)
         A, b, c = self(probes)
         alpha = float(np.min(np.linalg.eigvalsh(A)))
@@ -130,12 +90,9 @@ class CoefficientField:
         )
         gamma = 0.0
         if pairs is not None:
-            pairs = [np.asarray(side) for side in pairs]
-            indexed = [side.dtype.kind in "iu" for side in pairs]
-            xs, ys = (probes[side] if i else side for side, i in zip(pairs, indexed))
-            Ax, Ay = (A[side] if i else self(side)[0] for side, i in zip(pairs, indexed))
-            dA = np.abs(Ax - Ay).max(axis=(1, 2))
-            dist = np.linalg.norm(xs - ys, axis=1)
+            i, j = pairs
+            dA = np.abs(A[i] - A[j]).max(axis=(1, 2))
+            dist = np.linalg.norm(probes[i] - probes[j], axis=1)
             good = dist > 1e-12
             if np.any(good):
                 gamma = float(np.max(dA[good] / dist[good]))
@@ -233,7 +190,6 @@ def _circle_samples(center, r, M):
 def h_of_r(field, center, r):
     """Integral of field^2 over the circle of radius r, refined from 64 to 4096 nodes."""
     center = np.asarray(center, dtype=float)
-    field.require(_circle_samples(center, r, 32))
 
     def quad(M, _):
         vals, _ = field(_circle_samples(center, r, M))
@@ -256,7 +212,6 @@ def _disk_integral(integrand, center, r, tol=_QUAD_RTOL):
 def d_of_r(field, center, r):
     """Dirichlet energy of the field over the disk of radius r."""
     center = np.asarray(center, dtype=float)
-    field.require(_circle_samples(center, r, 32))
 
     def integrand(pts):
         _, g = field(pts)
@@ -273,7 +228,6 @@ def i_of_r(field, coeffs, center, r):
         raise InvalidCenterError(
             f"leading coefficient at the center deviates from the identity by {dev:.3e}"
         )
-    field.require(_circle_samples(center, r, 32))
 
     def integrand(pts):
         v, g = field(pts)
@@ -515,10 +469,11 @@ def v_transform(pair, tube):
         (Lap Psi)(mirror) = 2 s kappa_sigma/(1 - kappa s)^3 T
                             - 2 kappa/(1 - kappa s)^2 nu.
 
-    Valid where s is at most the tube half-width. Interior points deeper
-    than the tube are also accepted, but c is infinite at a focal point
-    (kappa d = 1), and on the medial axis the frame, and so b, follows
-    whichever foot point the projection finds.
+    Both fields raise OutOfTubeError beyond the collar, where s exceeds the
+    tube half-width, from the one check in their shared tube frame.
+    Interior points deeper than the tube are accepted, but c is infinite at
+    a focal point (kappa d = 1), and on the medial axis the frame, and so b,
+    follows whichever foot point the projection finds.
 
     The coefficient field carries alpha, gamma and K, its check_assumptions
     measured on a probe set of the collar: 64 rim points at offsets of
@@ -534,6 +489,8 @@ def v_transform(pair, tube):
 
     def tube_frame(x):
         t, s, _ = curve.nearest_point_many(x)
+        if np.any(s > delta * (1 + 1e-12)):
+            raise OutOfTubeError("point outside the reflected collar")
         f = curve.frame(t)
         f.t, f.s, f.outside = t, s, s > 0
         o = f.outside
@@ -543,8 +500,6 @@ def v_transform(pair, tube):
 
     def v_func(x):
         f = tube_frame(x)
-        if np.any(f.s > delta * (1 + 1e-12)):
-            raise OutOfTubeError("point outside the reflected collar")
         # exterior points read u at their mirror point gamma(t) - s nu, whose
         # tube coordinates are (t, -s): every point sits at depth d = |s|
         d = np.abs(f.s)
@@ -558,14 +513,6 @@ def v_transform(pair, tube):
         gN = np.einsum("pi,pi->p", gv, f.nu)
         gout = (gT / f.mu)[:, None] * f.T - gN[:, None] * f.nu
         return u * w, np.where(f.outside[:, None], gout, gv)
-
-    def contains(x):
-        _, s, _ = curve.nearest_point_many(x)
-        return s <= delta
-
-    vfield = ScalarField(
-        v_func, contains=contains, description=f"vtransform[{curve.name}, lam={lam:.6g}]"
-    )
 
     def coeff_func(x):
         f = tube_frame(x)
@@ -589,7 +536,7 @@ def v_transform(pair, tube):
         lap_d = -f.kappa / (1.0 - f.kappa * d)
         return A, b, lam**2 - lam * lap_d
 
-    cfield = CoefficientField(coeff_func)
+    vfield, cfield = ScalarField(v_func), CoefficientField(coeff_func)
     # record empirical bounds on a boundary-collar probe set
     tt = np.linspace(0, TWO_PI, 64, endpoint=False)
     offs = np.array([-0.6, -0.2, 0.2, 0.6]) * delta

@@ -43,7 +43,7 @@ class ExperimentConfig:
     radii_per_octave: int = 4
     octaves: float = 3.0
     outdir: str = "."
-    seed: int = 42
+    seed: int = 42  # recorded in scaling.json; the study draws nothing
 
     def curve(self):
         return geometry.curve_from_spec(self.domain)
@@ -183,6 +183,8 @@ def max_doubling_exponent(pair, n_centers=8, radii_per_octave=4, octaves=3.0):
     Centers are spread uniformly in the boundary parameter; the radius range
     scales like 1/lambda so the sweep tracks the eigenfunction wavelength.
     """
+    if not (isinstance(n_centers, (int, np.integer)) and n_centers > 0):
+        raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
     lam_eff = max(pair.eigenvalue, 1.0)
     r_max = min(0.5 * pair.curve.max_tube_halfwidth(), 1.0 / lam_eff)
     r_min = r_max / 2.0**octaves
@@ -210,11 +212,15 @@ def max_doubling_exponent(pair, n_centers=8, radii_per_octave=4, octaves=3.0):
 def run_scaling_study(config, spectrum=None):
     """Nodal counts and doubling exponents across a spectrum slice, with
     log-log fits against the eigenvalue."""
-    count = config.j_max + 1
+    j_min, j_max = config.j_min, config.j_max
+    ints = all(isinstance(j, (int, np.integer)) for j in (j_min, j_max))
+    if not (ints and 0 <= j_min <= j_max):
+        raise ValueError(f"need integers 0 <= j_min <= j_max, got {j_min!r} and {j_max!r}")
+    count = j_max + 1
     if spectrum is None:
         spectrum = solve_spectrum(build_dtn(config.curve(), config.n_nodes), count)
     records = []
-    for j in range(config.j_min, count):
+    for j in range(j_min, count):
         pair = spectrum[j]
         lam = pair.eigenvalue
         gate = _RESIDUAL_GATE * max(lam, 1.0)

@@ -468,6 +468,8 @@ def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
         raise ValueError("solid mode needs the transformed field")
     center = np.asarray(center, dtype=float)
     k = steps_per_octave
+    if not (isinstance(k, (int, np.integer)) and k > 0):
+        raise ValueError(f"steps_per_octave must be a positive integer, got {k!r}")
     n = int(np.floor(k * np.log2(r_max / r_min))) + 1
     radii = r_min * 2.0 ** (np.arange(n) / k)
 

@@ -7,7 +7,8 @@ from steklab import geometry
 from steklab.errors import (
     AssumptionError,
     InvalidCenterError,
-    RegionError,
+    OutOfDomainError,
+    OutOfTubeError,
 )
 from steklab.frequency import (
     CoefficientField,
@@ -17,7 +18,6 @@ from steklab.frequency import (
     check_hprime_identity,
     check_monotonicity,
     d_of_r,
-    eigen_field,
     frequency_from_doubling,
     frequency_profile,
     geometric_radii,
@@ -40,15 +40,6 @@ def deg3():
 
 
 class TestScalarField:
-    def test_region(self):
-        f = ScalarField(
-            lambda x: (x[:, 0], np.tile([1.0, 0.0], (len(x), 1))),
-            contains=lambda x: np.linalg.norm(x, axis=1) < 1.0,
-        )
-        f.require(np.array([[0.2, 0.1]]))
-        with pytest.raises(RegionError):
-            f.require(np.array([[10.0, 0.0]]))
-
     def test_harmonic_polynomial_values(self):
         f = harmonic_polynomial([(2, 1.0, 0.5)])
         v, g = f(np.array([[1.0, 1.0]]))
@@ -86,12 +77,12 @@ class TestEigenFrequency:
     def test_disk_mode_interior_frequency(self, disk_spectrum):
         # u = r^k trig(k theta): about the origin N(r) = k at every radius
         pair = disk_spectrum[9]  # lambda = 5
-        f = eigen_field(pair)
+        f = ScalarField(pair.evaluate_many)
         prof = frequency_profile(f, (0.0, 0.0), geometric_radii(0.1, 0.8))
         assert np.max(np.abs(prof.N - 5.0)) < 1e-8
 
     def test_offcenter_monotone(self, ellipse_spectrum):
-        f = eigen_field(ellipse_spectrum[6])
+        f = ScalarField(ellipse_spectrum[6].evaluate_many)
         prof = frequency_profile(f, (0.3, 0.1), geometric_radii(0.05, 0.6))
         assert check_monotonicity(prof).passed
 
@@ -99,12 +90,12 @@ class TestEigenFrequency:
 class TestCoefficientField:
     def test_zero_coefficients(self):
         c = zero_coefficients()
-        x = np.array([[0.2, 0.3]])
+        x = np.array([[0.2, 0.3], [0.3, 0.4]])
         A, b, cc = c(x)
-        assert np.allclose(A[0], np.eye(2))
+        assert np.allclose(A, np.eye(2))
         assert np.allclose(b, 0.0)
-        assert cc[0] == 0.0
-        alpha, gamma, K = c.check_assumptions(x, (x, x + 0.1))
+        assert np.all(cc == 0.0)
+        alpha, gamma, K = c.check_assumptions(x, ([0], [1]))
         assert alpha == pytest.approx(1.0)
         assert gamma == pytest.approx(0.0)
 
@@ -131,9 +122,13 @@ class TestCoefficientField:
         field = CoefficientField(func)
         x = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
         perm = np.random.default_rng(1).permutation(20)
-        by_index = field.check_assumptions(x, (np.arange(20), perm))
+        _, gamma, _ = field.check_assumptions(x, (np.arange(20), perm))
         assert calls == [20]
-        assert by_index == field.check_assumptions(x, (x, x[perm]))
+        # |A(x) - A(y)| / |x - y| over the pairs (x_i, x_perm(i)), x_i != x_perm(i)
+        dA = np.abs(x[:, 0] ** 2 - x[perm, 0] ** 2)
+        dist = np.linalg.norm(x - x[perm], axis=1)
+        moved = perm != np.arange(20)
+        assert gamma == pytest.approx(np.max(dA[moved] / dist[moved]), rel=1e-12)
 
     def test_generalized_reduces_to_harmonic(self, deg3):
         radii = geometric_radii(0.1, 0.5)
@@ -215,6 +210,33 @@ class TestVTransform:
         _, _, _, coeffs = transformed
         assert 0 < coeffs.alpha <= 1.0 + 1e-9
         assert coeffs.gamma >= 0 and np.isfinite(coeffs.K)
+
+
+class TestFieldDomains:
+    """Each field raises its own error beyond its domain."""
+
+    @pytest.mark.parametrize("quad", [h_of_r, d_of_r])
+    def test_eigenpair_field_beyond_band(self, disk_spectrum, quad):
+        # the circle of radius 1.5 about the origin leaves the unit disk's band
+        f = ScalarField(disk_spectrum[9].evaluate_many)
+        with pytest.raises(OutOfDomainError):
+            quad(f, (0.0, 0.0), 1.5)
+
+    @pytest.mark.parametrize("quad", [h_of_r, d_of_r])
+    def test_v_field_beyond_collar(self, transformed, quad):
+        # the circle of radius 2.5 about the origin reaches offset 0.5 > 0.3
+        # at (2.5, 0) and 1.5 at (0, 2.5)
+        _, _, field, _ = transformed
+        with pytest.raises(OutOfTubeError):
+            quad(field, (0.0, 0.0), 2.5)
+
+    def test_coefficients_beyond_collar(self, transformed):
+        pair, tube, _, coeffs = transformed
+        t = np.array([0.7])
+        x = pair.curve.point(t) + tube.delta * pair.curve.normal(t)
+        assert np.all(np.isfinite(coeffs(x)[2]))
+        with pytest.raises(OutOfTubeError):
+            coeffs(pair.curve.point(t) + 1.5 * tube.delta * pair.curve.normal(t))
 
 
 def fd_drift(coeffs, tube, lam, x, h):

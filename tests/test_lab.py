@@ -242,6 +242,23 @@ class TestCli:
         assert self.run(*argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("config,key", [
+        ({"j_min": -2, "j_max": 4}, "j_min"),
+        ({"j_min": 5, "j_max": 4}, "j_min"),
+        ({"j_min": 1.5, "j_max": 4}, "j_min"),
+        ({"j_max": 4, "radii_per_octave": 0}, "steps_per_octave"),
+        ({"j_max": 4, "radii_per_octave": -1}, "steps_per_octave"),
+        ({"j_max": 4, "radii_per_octave": 2.5}, "steps_per_octave"),
+        ({"j_max": 4, "n_centers": 0}, "n_centers"),
+    ])
+    def test_bad_scaling_config_exit_2(self, tmp_path, capsys, config, key):
+        path = tmp_path / "cfg.json"
+        config = {"domain": "disk", "n_nodes": 128, "outdir": str(tmp_path), **config}
+        path.write_text(json.dumps(config))
+        assert self.run("scaling", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_frequency(self, capsys):
         assert self.run("frequency", "--cases", "3") == 0
         out = capsys.readouterr().out

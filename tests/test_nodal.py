@@ -1,11 +1,17 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from steklab import geometry, nodal
-from steklab.errors import DegenerateCenterError, OutOfDomainError, UndersampledError
+from steklab.errors import (
+    DegenerateCenterError,
+    OutOfDomainError,
+    RegionError,
+    UndersampledError,
+)
 from steklab.frequency import v_transform
 from steklab.steklov import SteklovEigenpair, build_dtn, solve_spectrum
 from steklab.nodal import (
@@ -494,6 +500,12 @@ class TestSolidMasses:
         assert domain_mass(UnitField(geometry.ellipse(2.0, 1.0))) == pytest.approx(
             2.0 * np.pi, rel=1e-12
         )
+
+    def test_domain_mass_needs_star_shape(self):
+        # a simple curve whose angle about its centroid turns back
+        c = geometry.BoundaryCurve([0, 1, 0, 0.5, 0, 0, 0], [0, 0, 1, 0, 0.5, 0, 0.3])
+        with pytest.raises(RegionError, match="star-shaped"):
+            domain_mass(SimpleNamespace(curve=c))
 
     def test_clipped_ball_at_boundary_is_lens_area(self):
         # a ball of radius r about a point of the unit circle meets the disk

@@ -24,11 +24,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "steklab"
 CALLERS = ("src", "demos", "perfbench", "tools")
 
-# names kept as reference implementations that tests compare against
+# names only tests call, kept as references that tests compare against; a
+# wrapper that tests could build themselves, such as an eigenpair's field
+# ScalarField(pair.evaluate_many), does not belong here
 ALLOWED = {
     "reflect_many": "the reflection that the fd_drift and Jacobian oracles difference",
     "zero_coefficients": "A = I, b = c = 0, under which the generalized frequency is the harmonic one",
-    "eigen_field": "an eigenpair as a ScalarField, for the disk-mode check N(r) = k",
 }
 
 
