@@ -53,6 +53,11 @@ class BoundaryCurve:
     probe_t, the _PROBE equispaced parameters 2 pi j / _PROBE, and
     probe_points, gamma at those parameters, shape (_PROBE, 2). A point
     within round_off = 1e-12 max(diameter, 1) of the curve counts as on it.
+
+    The grid_size samples gamma(t_i) give the checks' frame, the KD-tree that
+    seeds the foot-point Newton solve of nearest_point_many, and a polygon
+    whose edges, binned by y-slab, let surely_inside decide by ray crossing
+    which points lie inside without projecting them.
     """
 
     def __init__(self, fourier_x, fourier_y, name="", grid_size=_GRID):
@@ -102,12 +107,14 @@ class BoundaryCurve:
         self.round_off = 1e-12 * max(self.diameter, 1.0)
 
         self.probe_t = np.linspace(0.0, 2 * np.pi, _PROBE, endpoint=False)
-        self.probe_points = self.point(self.probe_t)
+        g, v, a = self._series(self.probe_t, 0, 1, 2)
+        self.probe_points = g.copy()  # a view would keep v and a alive
         self.probe_t.flags.writeable = False
         self.probe_points.flags.writeable = False
 
         self.max_abs_curvature = float(np.max(np.abs(f.kappa)))
         self._delta_max = None
+        self._slabs = self._slab_table(f, v, a)
 
     # -- construction helpers -------------------------------------------------
 
@@ -124,6 +131,61 @@ class BoundaryCurve:
         i, j = i[far], j[far]
         if np.any(_segments_intersect(p[i], q[i], p[j], q[j])):
             raise DegenerateCurveError("curve self-intersects on the sample grid")
+
+    def _slab_table(self, f, v, acc):
+        """Edges of the grid polygon by y-slab, for surely_inside; f is the
+        grid's frame, v and acc are gamma' and gamma'' at probe_t.
+
+        Returns (lower corner, upper corner, slab height, offsets, ids,
+        edges): the polygon's bounding box, len(grid) equal slabs of its
+        y-range, and in CSR form the edges of slab j, ids[offsets[j]:
+        offsets[j + 1]]. Column i of edges is (ax, ay, bx, by, |b - a|^-2,
+        margin^2) for the edge a -> b from gamma(t_i) to gamma(t_i+1); an
+        edge goes in every slab that its y-range, widened by its margin,
+        meets (about 3 edges a slab on the built-in curves).
+
+        The margin bounds how far arc i strays from its chord. With L its
+        length and kappa its largest curvature, the arc's height above the
+        chord vanishes at both ends and has second derivative at most kappa
+        in arclength, so it is at most kappa L^2 / 8; while kappa L < 1 the
+        arc turns by less than pi/2 from the chord's direction and stays
+        over the chord. Otherwise every arc point lies within L / 2 of an
+        end. L and kappa are read as max |gamma'| dt and max |kappa| over
+        the arc's ends and the probe samples inside it (8 per arc at the
+        default grid); the margin is twice the bound, plus round_off.
+        """
+        p = self._pgrid
+        n = len(p)
+        arc = np.arange(_PROBE) * n // _PROBE  # the grid arc of each probe sample
+
+        def arc_max(at_grid, at_probe):
+            w = np.abs(at_grid)
+            w = np.maximum(w, np.roll(w, -1))
+            np.maximum.at(w, arc, np.abs(at_probe))
+            return w
+
+        speed = np.hypot(v[:, 0], v[:, 1])
+        kappa = (v[:, 0] * acc[:, 1] - v[:, 1] * acc[:, 0]) / speed**3
+        length = arc_max(f.speed, speed) * (2 * np.pi / n)
+        kl = arc_max(f.kappa, kappa) * length
+        gap = np.where(kl < 1.0, kl * length / 8.0, length / 2.0)
+        margin = 2.0 * gap + self.round_off
+        a, b = p, np.roll(p, -1, axis=0)
+        ab2 = np.einsum("ij,ij->i", b - a, b - a)
+        edges = np.vstack([a.T, b.T, 1.0 / ab2, margin**2])
+
+        lo_c, hi_c = p.min(axis=0), p.max(axis=0)
+        h = (hi_c[1] - lo_c[1]) / n
+        y_lo = np.minimum(a[:, 1], b[:, 1]) - margin - lo_c[1]
+        y_hi = np.maximum(a[:, 1], b[:, 1]) + margin - lo_c[1]
+        first = np.clip((y_lo // h).astype(int), 0, n - 1)
+        last = np.clip((y_hi // h).astype(int), 0, n - 1)
+        count = last - first + 1
+        slab = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        order = np.argsort(slab, kind="stable")
+        offsets = np.r_[0, np.cumsum(np.bincount(slab, minlength=n))]
+        ids = np.repeat(np.arange(n, dtype=np.int32), count)[order]
+        return lo_c, hi_c, h, offsets, ids, edges
 
     # -- pointwise evaluation --------------------------------------------------
 
@@ -236,6 +298,41 @@ class BoundaryCurve:
         s = np.where(dot >= 0, dist, -dist)
         gap = np.linalg.norm(diff - s[:, None] * f.nu, axis=-1)
         return t, s, gap
+
+    def surely_inside(self, x):
+        """True where a point certainly lies inside the curve; False where it
+        lies outside, within an edge's margin of the grid polygon, outside
+        the polygon's bounding box, or has a NaN coordinate.
+
+        Counts, for each point, the edges of its y-slab that the ray from it
+        in the +x direction crosses. An arc of the curve and its chord bound
+        a lens, and a ray from outside that lens crosses the arc and the
+        chord equally often mod 2; so the polygon's parity is the curve's at
+        every point farther than each edge's margin from its chord (see
+        _slab_table), and the points nearer than that answer False.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        lo_c, hi_c, h, offsets, ids, edges = self._slabs
+        pts = np.flatnonzero(np.all((x >= lo_c) & (x <= hi_c), axis=1))
+        px, py = x[pts, 0], x[pts, 1]
+        k = np.minimum(((py - lo_c[1]) // h).astype(int), len(offsets) - 2)
+        count = offsets[k + 1] - offsets[k]
+        pair = np.repeat(np.arange(len(pts)), count)
+        first = np.repeat(offsets[k] - np.cumsum(count) + count, count)
+        ax, ay, bx, by, inv, m2 = edges[:, ids[first + np.arange(len(pair))]]
+        px, py = px[pair], py[pair]
+        abx, aby, apx, apy = bx - ax, by - ay, px - ax, py - ay
+        u = np.clip((apx * abx + apy * aby) * inv, 0.0, 1.0)
+        dx, dy = apx - u * abx, apy - u * aby
+        near = dx * dx + dy * dy <= m2
+        # the ray crosses an edge that straddles y, half-open at the ends,
+        # when the point lies left of the edge directed upward
+        cross = ((ay > py) != (by > py)) & ((abx * apy - aby * apx > 0) == (aby > 0))
+        odd = np.bincount(pair, cross, len(pts)) % 2 == 1
+        clear = np.bincount(pair, near, len(pts)) == 0
+        out = np.zeros(len(x), dtype=bool)
+        out[pts[odd & clear]] = True
+        return out
 
     def distance_to_boundary(self, x):
         """Unsigned distance from points x to the curve."""

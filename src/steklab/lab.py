@@ -216,9 +216,14 @@ def run_scaling_study(config, spectrum=None):
     ints = all(isinstance(j, (int, np.integer)) for j in (j_min, j_max))
     if not (ints and 0 <= j_min <= j_max):
         raise ValueError(f"need integers 0 <= j_min <= j_max, got {j_min!r} and {j_max!r}")
+    n_nodes, samples = config.n_nodes, config.samples
+    if not (isinstance(n_nodes, (int, np.integer)) and n_nodes > 0):
+        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 0):
+        raise ValueError(f"samples must be an integer >= 0 (0: automatic), got {samples!r}")
     count = j_max + 1
     if spectrum is None:
-        spectrum = solve_spectrum(build_dtn(config.curve(), config.n_nodes), count)
+        spectrum = solve_spectrum(build_dtn(config.curve(), n_nodes), count)
     records = []
     for j in range(j_min, count):
         pair = spectrum[j]
@@ -239,7 +244,7 @@ def run_scaling_study(config, spectrum=None):
             )
             continue
         rep = nodal.boundary_zeros(
-            pair, samples=config.samples or None, tol=config.tol
+            pair, samples=samples or None, tol=config.tol
         )
         if lam > 0:
             emax = max_doubling_exponent(

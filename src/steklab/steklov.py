@@ -38,7 +38,7 @@ _MODE_FLOOR = 1e-14
 _MAX_UPSAMPLE = 16
 _RESOLUTION_FACTOR = 40.0  # target exp(-40) quadrature tail
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
-_EVAL_CHUNK = 4096  # points per foot-point and Taylor block of evaluate_many
+_EVAL_CHUNK = 4096  # points per block of evaluate_many: inside test, projection, Taylor
 _BLOCK_BUDGET = 2**15  # entries of one layer or Taylor block table: 256 KB stays in L2
 _POLY_RTOL = 1e-13  # certificate: boundary residual of the fit over sup of the trace
 _POLY_START = 16  # first degree of the doubling degree search
@@ -353,17 +353,20 @@ class SteklovEigenpair:
         """u and grad u at an array of points inside Omega or in the thin
         exterior extension band.
 
-        t and s are the points' foot parameters and signed offsets; where
-        they are not given, each block of points is projected here, because
-        the band check and the routing read s. A point with s <= 0 reads the
-        certified polynomial u = Re p, grad u = (Re p', -Im p') of `_poly`
-        when the pair has one. The rest take the normal Taylor series when
-        s > -s_taylor, which includes every exterior point, and otherwise
-        the layer quadrature, upsampled by depth. Memory is bounded for any
-        number of points and any upsampling: points go in blocks of
-        _EVAL_CHUNK, and both per-point tables, the layer quadrature's
-        (points, sources) and the Taylor series' (points, modes), hold at
-        most _BLOCK_BUDGET entries at a time."""
+        t and s are the points' foot parameters and signed offsets. A point
+        with s <= 0 reads the certified polynomial u = Re p,
+        grad u = (Re p', -Im p') of `_poly` when the pair has one. Where t
+        and s are not given, the band check and the routing need s, so the
+        points are projected here; for a certified pair, only those whose
+        side `BoundaryCurve.surely_inside` leaves in doubt, since the points
+        it marks inside read p at any depth. Points that do not read p take
+        the normal Taylor series when s > -s_taylor, which includes every
+        exterior point, and otherwise the layer quadrature, upsampled by
+        depth. Memory is bounded for any number of points and any
+        upsampling: points go in blocks of _EVAL_CHUNK, and both per-point
+        tables, the layer quadrature's (points, sources) and the Taylor
+        series' (points, modes), hold at most _BLOCK_BUDGET entries at a
+        time."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         s_taylor, band_out = self.extension_bands()
         sp_max = float(np.max(self.dtn.speed))
@@ -373,7 +376,15 @@ class SteklovEigenpair:
             sl = slice(start, start + _EVAL_CHUNK)
             xb, vals, grads = x[sl], out_v[sl], out_g[sl]  # views of the outputs
             if t is None:
-                tb, sb, _ = self.curve.nearest_point_many(xb)
+                # a certified pair's points marked inside read p, routed there
+                # by s = -inf; the rest, and all of an uncertified pair's, are
+                # projected
+                doubt = np.ones(len(xb), dtype=bool)
+                if self._poly() is not None:
+                    doubt = ~self.curve.surely_inside(xb)
+                tb, sb = np.full(len(xb), np.nan), np.full(len(xb), -np.inf)
+                if np.any(doubt):
+                    tb[doubt], sb[doubt], _ = self.curve.nearest_point_many(xb[doubt])
             else:
                 tb, sb = t[sl], s[sl]
             if np.any(sb > band_out * (1 + 1e-12)):

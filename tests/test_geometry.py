@@ -270,6 +270,59 @@ class TestFootPoints:
         assert np.max(np.abs(np.angle(np.exp(1j * (t - np.tile(th, 3)))))) <= 1e-14
 
 
+SIDE_CURVES = [
+    "disk", "ellipse(2,1)", "ellipse(10,0.05)", "perturbed_disk(0.1,3)",
+    "perturbed_disk(0.2,5)",
+]
+
+
+class TestSurelyInside:
+    @pytest.mark.parametrize("spec", SIDE_CURVES)
+    def test_agrees_with_the_foot_point_side(self, spec):
+        # uniform points of the padded bounding box, and points at normal
+        # offsets +-10^U(-16, -1) from the curve
+        c = geometry.builtin_curve(spec)
+        rng = np.random.default_rng(11)
+        lo, hi = np.min(c.probe_points, axis=0), np.max(c.probe_points, axis=0)
+        pad = 0.1 * (hi - lo)
+        box = rng.uniform(lo - pad, hi + pad, (100_000, 2))
+        f = c.frame(rng.uniform(0.0, 2 * np.pi, 50_000))
+        off = rng.choice([-1.0, 1.0], 50_000) * 10 ** rng.uniform(-16, -1, 50_000)
+        x = np.concatenate([box, f.point + off[:, None] * f.nu])
+        inside = c.surely_inside(x)
+        _, s, _ = c.nearest_point_many(x)
+        assert not np.any(inside & (s > 0))
+        assert np.all(inside[s < -1e-3])
+
+    def test_memory_is_bounded_on_a_thin_ellipse(self):
+        # one global margin max|kappa| max(chord)^2 would be 15 on
+        # ellipse(10, 0.05), wider than the curve: every edge in every slab,
+        # a (4096, 1024) table per temporary
+        import tracemalloc
+
+        c = geometry.ellipse(10.0, 0.05)
+        x = np.random.default_rng(2).uniform((-10.0, -0.05), (10.0, 0.05), (4096, 2))
+        tracemalloc.start()
+        try:
+            c.surely_inside(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_nan_and_out_of_range_points_answer_false(self, ellipse_curve):
+        x = np.array([
+            [0.0, 0.0],
+            [np.nan, 0.0],
+            [0.0, np.nan],
+            [0.0, 1.0 + 1e-9],  # above the curve's y-range
+            [0.0, -1.5],
+            [np.inf, 0.0],
+            [1e300, 0.5],
+        ])
+        assert ellipse_curve.surely_inside(x).tolist() == [True] + [False] * 6
+
+
 class TestTube:
     def test_disk_reach_is_radius(self):
         assert geometry.disk().max_tube_halfwidth() == pytest.approx(

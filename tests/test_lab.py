@@ -250,6 +250,10 @@ class TestCli:
         ({"j_max": 4, "radii_per_octave": -1}, "steps_per_octave"),
         ({"j_max": 4, "radii_per_octave": 2.5}, "steps_per_octave"),
         ({"j_max": 4, "n_centers": 0}, "n_centers"),
+        ({"j_max": 4, "n_nodes": 100.5}, "n_nodes"),
+        ({"j_max": 4, "n_nodes": 0}, "n_nodes"),
+        ({"j_max": 4, "samples": -5}, "samples"),
+        ({"j_max": 4, "samples": 2.5}, "samples"),
     ])
     def test_bad_scaling_config_exit_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "cfg.json"

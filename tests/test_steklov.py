@@ -469,6 +469,51 @@ class TestCertifiedPolynomial:
             pair.evaluate_many(x, np.r_[t, t[0]], s)
 
 
+class TestInsideRouting:
+    @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("disk", 5)])
+    def test_inside_test_keeps_outputs_bit_for_bit(
+        self, curve, j, ellipse_spectrum, disk_spectrum
+    ):
+        # points marked inside skip the projection; the rest are projected
+        # as when t and s come from one projection of every point
+        pair = (ellipse_spectrum if curve == "ellipse" else disk_spectrum)[j]
+        assert pair._poly() is not None
+        s_taylor, band_out = pair.extension_bands()
+        rng = np.random.default_rng(j)
+        f = pair.curve.frame(rng.uniform(0.0, 2 * np.pi, 1500))
+        off = np.concatenate([
+            rng.choice([-1.0, 1.0], 500) * 10 ** rng.uniform(-16, -12, 500),
+            rng.uniform(0.0, band_out, 500),
+            -rng.uniform(0.0, 2 * s_taylor, 500),
+        ])
+        x = np.concatenate([
+            interior_points(pair.curve, 0.05, 3000, j), f.point + off[:, None] * f.nu
+        ])
+        x = x[rng.permutation(len(x))]  # both sides in every block
+        t, s, _ = pair.curve.nearest_point_many(x)
+        assert np.any(s > 0) and len(x) > steklov._EVAL_CHUNK
+        u, g = pair.evaluate_many(x)
+        ref_u, ref_g = pair.evaluate_many(x, t, s)
+        assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
+
+    def test_domain_mass_projects_few_points(self, ellipse_spectrum, monkeypatch):
+        # the 32,768 quadrature points lie inside the curve, almost all of
+        # them beyond every edge's margin, so almost none needs a foot point
+        from steklab.nodal import domain_mass
+
+        pair = ellipse_spectrum[7]
+        projected = []
+        nearest = geometry.BoundaryCurve.nearest_point_many
+
+        def recording(self, x):
+            projected.append(len(np.atleast_2d(x)))
+            return nearest(self, x)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
+        domain_mass(pair)
+        assert sum(projected) <= 300
+
+
 class TestInteriorBound:
     def test_disk_mode(self, disk_spectrum):
         rep = interior_sup_bound_check(disk_spectrum[3], (0.2, 0.1), 0.5)
