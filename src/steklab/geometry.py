@@ -334,11 +334,6 @@ class BoundaryCurve:
         out[pts[odd & clear]] = True
         return out
 
-    def distance_to_boundary(self, x):
-        """Unsigned distance from points x to the curve."""
-        _, s, _ = self.nearest_point_many(x)
-        return np.abs(s)
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self):

@@ -11,12 +11,14 @@ degeneracy.
 Inside the domain u is evaluated, where the fit is certified, as Re p for
 one complex polynomial p per eigenpair: a least-squares fit to the trace in a
 Newton basis at Leja points of the boundary (Reichel, BIT 30 (1990)), whose
-boundary residual bounds the interior error by the maximum principle. In the
-thin exterior band, and inside for pairs without a certificate, the potential
-is evaluated near the boundary through a Taylor expansion in the normal
-offset whose coefficients are grid functions of the boundary parameter,
-computed recursively from harmonicity in tube coordinates, and deeper inside
-by the layer quadrature, upsampled by depth.
+boundary residual bounds the interior error by the maximum principle. Inside
+a pair without a certificate, u = Re f for the analytic f = u + iv whose
+boundary values follow from the trace (dv/dt = |gamma'| du/dnu), evaluated
+by the barycentric Cauchy formula (Helsing & Ojala, J. Comput. Phys. 227
+(2008)), accurate up to the curve. In the thin exterior band the potential
+is continued through a Taylor expansion in the normal offset whose
+coefficients are grid functions of the boundary parameter, computed
+recursively from harmonicity in tube coordinates.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ TWO_PI = 2.0 * np.pi
 
 _TAYLOR_TERMS = 20
 _MODE_FLOOR = 1e-14
-_MAX_UPSAMPLE = 16
-_RESOLUTION_FACTOR = 40.0  # target exp(-40) quadrature tail
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
-_EVAL_CHUNK = 4096  # points per block of evaluate_many: inside test, projection, Taylor
-_BLOCK_BUDGET = 2**15  # entries of one layer or Taylor block table: 256 KB stays in L2
+_EVAL_CHUNK = 4096  # points per block of evaluate_many: inside test, projection, kernels
+_BLOCK_BUDGET = 2**15  # entries of one Cauchy or Taylor block table: 256 KB stays in L2
 _POLY_RTOL = 1e-13  # certificate: boundary residual of the fit over sup of the trace
 _POLY_START = 16  # first degree of the doubling degree search
 _POLY_MAX_DEGREE = 256  # last degree tried, and at most N/2
@@ -215,10 +215,12 @@ class SteklovEigenpair:
 
         f0 = np.fft.ifft(filt(self.trace.astype(complex), 0) * N)
         c = [f0, lam * f0]
+        dc = []  # ddt(c[j]), each taken once
         for k in range(_TAYLOR_TERMS - 1):
+            dc.append(ddt(c[k]))
             acc = np.zeros(N, dtype=complex)
             for j in range(k + 1):
-                acc += e[k - j] * ddt(c[j])
+                acc += e[k - j] * dc[j]
             g = -ddt(acc)
             nxt = (g / (k + 1) - b * (k + 1) * c[k + 1]) / (a * (k + 2))
             nxt = np.fft.ifft(filt(nxt, k + 2) * N)
@@ -255,39 +257,53 @@ class SteklovEigenpair:
         grad = f.nu * u_s[:, None] + f.T * (u_t / H)[:, None]
         return u, grad
 
-    # -- layer-potential quadrature ----------------------------------------------
+    # -- barycentric Cauchy integral ---------------------------------------------
 
-    def _source_table(self, factor):
-        key = ("src", factor)
-        if key not in self._cont:
+    def _cauchy(self):
+        """(nodes, weighted data, data) of the barycentric Cauchy formula for the
+        analytic f = u + iv with u = Re f.
+
+        On the curve dv/dt = |gamma'| du/dnu (Cauchy-Riemann), and du/dnu is
+        L trace: the pair's own discrete DtN map, so f extends the trace as
+        the single layer does. v is its spectral antiderivative, less the
+        zero mode (the flux) and the Nyquist mode, and f' = (df/dt) / gamma'.
+        data holds f and f' by column; the sums take the weights
+        w = gamma'(t_j) 2 pi / N times (1, f, f').
+        """
+        if "cauchy" not in self._cont:
             dtn = self.dtn
-            Nf = dtn.N * factor
-            tf = np.linspace(0.0, TWO_PI, Nf, endpoint=False)
-            f = self.curve.frame(tf)
-            if factor == 1:
-                sig = self.density
-            else:
-                spec = np.fft.fft(self.density)
-                sig = np.fft.ifft(_pad_spectrum(spec, Nf)).real
-            self._cont[key] = (f.point, sig * f.speed * (TWO_PI / Nf))
-        return self._cont[key]
+            N = dtn.N
+            k = np.fft.fftfreq(N, 1.0 / N)
+            k[N // 2] = 0.0
+            dv = np.fft.fft(dtn.speed * (dtn.L @ self.trace))
+            v = np.fft.ifft(np.divide(dv, 1j * k, out=np.zeros(N, complex), where=k != 0))
+            f = self.trace + 1j * v.real
+            fr = self.curve.frame(dtn.t)
+            dz = _complex(fr.velocity)
+            data = np.stack([f, np.fft.ifft(1j * k * np.fft.fft(f)) / dz], axis=1)
+            w = dz[:, None] * (TWO_PI / N)
+            self._cont["cauchy"] = (_complex(fr.point), w * np.c_[np.ones(N), data], data)
+        return self._cont["cauchy"]
 
-    def _layer_eval(self, x, factor):
-        pts, charge = self._source_table(factor)
-        R = self.dtn.kernel_scale
-        vals = np.empty(len(x))
-        grad = np.empty((len(x), 2))
-        rows = max(1, _BLOCK_BUDGET // len(pts))
-        for start in range(0, len(x), rows):
-            sl = slice(start, start + rows)
-            dx = x[sl, :1] - pts[:, 0]  # (rows, Nf)
-            dy = x[sl, 1:] - pts[:, 1]
-            dist2 = dx * dx + dy * dy
-            vals[sl] = -(1.0 / (2 * TWO_PI)) * (np.log(dist2) - 2 * np.log(R)) @ charge
-            w = np.divide(charge, dist2, out=dist2)
-            grad[sl, 0] = -(1.0 / TWO_PI) * np.einsum("pj,pj->p", dx, w)
-            grad[sl, 1] = -(1.0 / TWO_PI) * np.einsum("pj,pj->p", dy, w)
-        return vals, grad
+    def _cauchy_eval(self, x):
+        """Value and Cartesian gradient of u = Re f at points x inside the
+        curve: f(z) = sum w f / (zeta - z) / sum w / (zeta - z), and f' alike
+        with the same denominator; a point on a node reads that node's data."""
+        nodes, wd, data = self._cauchy()
+        z = _complex(x)
+        out = np.empty((len(z), 2), dtype=complex)
+        rows = max(1, _BLOCK_BUDGET // len(nodes))
+        for start in range(0, len(z), rows):
+            d = nodes - z[start:start + rows, None]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                sums = (1.0 / d) @ wd
+                block = sums[:, 1:] / sums[:, :1]
+            # only a point on a node, or within 1e-308 of one, has 1/d = inf
+            hit = np.flatnonzero(~np.isfinite(sums[:, 0]))
+            block[hit] = data[np.argmin(np.abs(d[hit]), axis=1)]
+            out[start:start + rows] = block
+        grad = np.stack([out[:, 1].real, -out[:, 1].imag], axis=1)
+        return out[:, 0].real, grad
 
     # -- certified harmonic polynomial -------------------------------------------
 
@@ -338,50 +354,37 @@ class SteklovEigenpair:
 
     # -- public evaluation ---------------------------------------------------------
 
-    def extension_bands(self):
-        """(interior Taylor switch, exterior band half-width) in length units."""
+    def extension_band(self):
+        """Half-width of the exterior harmonic-extension band, in length units."""
         lam = max(self.eigenvalue, 1.0)
-        delta = self.curve.max_tube_halfwidth()
-        band_out = min(0.1 * delta, 0.5 / lam)
-        # keep the interior Taylor band narrow: the series gradient loses
-        # accuracy near 0.3 delta while the upsampled layer quadrature is
-        # already converged there
-        s_taylor = min(0.5 / lam, 0.15 * delta)
-        return s_taylor, band_out
+        return min(0.1 * self.curve.max_tube_halfwidth(), 0.5 / lam)
 
     def evaluate_many(self, x, t=None, s=None):
         """u and grad u at an array of points inside Omega or in the thin
         exterior extension band.
 
-        t and s are the points' foot parameters and signed offsets. A point
+        t and s are the points' foot parameters and signed offsets. Where
+        they are not given, the band check and the routing need s, so the
+        points that `BoundaryCurve.surely_inside` leaves in doubt are
+        projected here; those it marks inside are routed inside. A point
         with s <= 0 reads the certified polynomial u = Re p,
-        grad u = (Re p', -Im p') of `_poly` when the pair has one. Where t
-        and s are not given, the band check and the routing need s, so the
-        points are projected here; for a certified pair, only those whose
-        side `BoundaryCurve.surely_inside` leaves in doubt, since the points
-        it marks inside read p at any depth. Points that do not read p take
-        the normal Taylor series when s > -s_taylor, which includes every
-        exterior point, and otherwise the layer quadrature, upsampled by
-        depth. Memory is bounded for any number of points and any
-        upsampling: points go in blocks of _EVAL_CHUNK, and both per-point
-        tables, the layer quadrature's (points, sources) and the Taylor
-        series' (points, modes), hold at most _BLOCK_BUDGET entries at a
-        time."""
+        grad u = (Re p', -Im p') of `_poly` when the pair has one, and the
+        barycentric Cauchy formula of `_cauchy` otherwise; a point with
+        s > 0 reads the normal Taylor series. Memory is bounded for any
+        number of points: points go in blocks of _EVAL_CHUNK, and both
+        per-point tables, the Cauchy formula's (points, nodes) and the
+        Taylor series' (points, modes), hold at most _BLOCK_BUDGET entries
+        at a time."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        s_taylor, band_out = self.extension_bands()
-        sp_max = float(np.max(self.dtn.speed))
+        band_out = self.extension_band()
         out_v = np.empty(len(x))
         out_g = np.empty((len(x), 2))
         for start in range(0, len(x), _EVAL_CHUNK):
             sl = slice(start, start + _EVAL_CHUNK)
             xb, vals, grads = x[sl], out_v[sl], out_g[sl]  # views of the outputs
             if t is None:
-                # a certified pair's points marked inside read p, routed there
-                # by s = -inf; the rest, and all of an uncertified pair's, are
-                # projected
-                doubt = np.ones(len(xb), dtype=bool)
-                if self._poly() is not None:
-                    doubt = ~self.curve.surely_inside(xb)
+                # points marked inside are routed there by s = -inf
+                doubt = ~self.curve.surely_inside(xb)
                 tb, sb = np.full(len(xb), np.nan), np.full(len(xb), -np.inf)
                 if np.any(doubt):
                     tb[doubt], sb[doubt], _ = self.curve.nearest_point_many(xb[doubt])
@@ -392,28 +395,20 @@ class SteklovEigenpair:
                     "point beyond the exterior harmonic-extension band"
                 )
             inside = sb <= 0
-            fit = self._poly() if np.any(inside) else None
-            if fit is not None:
-                p, dp = _horner(fit, _complex(xb[inside]))
-                vals[inside] = p.real
-                grads[inside] = np.stack([dp.real, -dp.imag], axis=1)
-            todo = ~inside if fit is not None else np.ones_like(inside)
-            near = sb > -s_taylor  # includes all exterior points
-            idx_near = np.flatnonzero(near & todo)
-            modes = len(self._continuation()[0]) if len(idx_near) else 1
+            if np.any(inside):
+                fit = self._poly()
+                if fit is not None:
+                    p, dp = _horner(fit, _complex(xb[inside]))
+                    vals[inside] = p.real
+                    grads[inside] = np.stack([dp.real, -dp.imag], axis=1)
+                else:
+                    vals[inside], grads[inside] = self._cauchy_eval(xb[inside])
+            idx = np.flatnonzero(~inside)
+            modes = len(self._continuation()[0]) if len(idx) else 1
             rows = max(1, _BLOCK_BUDGET // (2 * modes))
-            for i in range(0, len(idx_near), rows):
-                sub = idx_near[i:i + rows]
+            for i in range(0, len(idx), rows):
+                sub = idx[i:i + rows]
                 vals[sub], grads[sub] = self._taylor_eval(tb[sub], sb[sub])
-            idx_far = np.flatnonzero(~near & todo)
-            if len(idx_far):
-                need = _RESOLUTION_FACTOR * sp_max / (self.dtn.N * -sb[idx_far])
-                factors = np.minimum(
-                    _MAX_UPSAMPLE, 2 ** np.ceil(np.log2(np.maximum(need, 1.0)))
-                ).astype(int)
-                for f in np.unique(factors):
-                    sub = idx_far[factors == f]
-                    vals[sub], grads[sub] = self._layer_eval(xb[sub], int(f))
         return out_v, out_g
 
     def evaluate(self, x):
@@ -453,18 +448,6 @@ def _fold(spec):
     zero) onto k, exact under Re: Re(c e^{-ikt}) = Re(conj(c) e^{ikt})."""
     h = len(spec) // 2
     return np.concatenate([spec[:1], spec[1:h] + np.conj(spec[:h:-1])])
-
-
-def _pad_spectrum(spec, Nf):
-    N = len(spec)
-    out = np.zeros(Nf, dtype=complex)
-    h = N // 2
-    out[:h] = spec[:h]
-    out[Nf - h:] = spec[N - h:]
-    # split the Nyquist mode symmetrically
-    out[h] = 0.5 * spec[h]
-    out[Nf - h] += 0.5 * spec[h]
-    return out * (Nf / N)
 
 
 @dataclass
@@ -630,8 +613,8 @@ class InteriorBoundReport:
 def interior_sup_bound_check(pair, center, radius):
     """Empirical constant in sup_{B(r/2)} |u| <= C (mean of u^2 over B(r))^(1/2)."""
     center = np.asarray(center, dtype=float)
-    gap = pair.curve.distance_to_boundary(center[None, :])[0]
-    if gap <= radius:
+    _, s, _ = pair.curve.nearest_point_many(center[None, :])
+    if not s[0] < -radius:
         raise OutOfDomainError("ball not contained in the domain")
 
     theta = np.linspace(0.0, TWO_PI, 128, endpoint=False)

@@ -352,7 +352,7 @@ class TestFrameTraffic:
     def test_one_frame_per_field_call(self, transformed, series_calls):
         pair, _, field, coeffs = transformed
         t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        # offsets in the Taylor band (0.03) and beyond it (0.1), on both sides
+        # offsets within the extension band (0.03) and beyond it (0.1), on both sides
         s = np.tile([-0.1, -0.03, 0.03, 0.1], 4)
         x = pair.curve.point(t) + s[:, None] * pair.curve.normal(t)
         for call, most in ((coeffs, 1), (field, 3)):

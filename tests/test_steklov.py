@@ -18,9 +18,33 @@ from conftest import disk_mode_coefficients
 @pytest.fixture
 def uncertified(monkeypatch):
     """A fresh copy of a pair with the degree cap at 0: it has no certified
-    polynomial, so evaluate_many takes the Taylor and layer kernels."""
+    polynomial, so evaluate_many reads the Cauchy formula inside and the
+    Taylor series in the exterior band."""
     monkeypatch.setattr(steklov, "_POLY_MAX_DEGREE", 0)
     return dataclasses.replace
+
+
+def layer_reference(pair, x, factor):
+    """u and grad u at x from the single-layer potential of pair.density,
+    trigonometrically interpolated to factor * N sources and summed by the
+    trapezoid rule: a reference independent of evaluate_many."""
+    N = pair.dtn.N
+    Nf, h = factor * N, N // 2
+    spec = np.fft.fft(pair.density)
+    pad = np.zeros(Nf, dtype=complex)
+    pad[:h], pad[Nf - h:] = spec[:h], spec[N - h:]
+    pad[h] = 0.5 * spec[h]  # the Nyquist mode, split between +-h
+    pad[Nf - h] += 0.5 * spec[h]
+    f = pair.curve.frame(np.linspace(0.0, 2 * np.pi, Nf, endpoint=False))
+    charge = np.fft.ifft(pad).real * factor * f.speed * (2 * np.pi / Nf)
+    log_r = np.log(pair.dtn.kernel_scale)
+    u, g = np.empty(len(x)), np.empty((len(x), 2))
+    for i in range(0, len(x), 64):
+        d = x[i:i + 64, None, :] - f.point[None]
+        d2 = np.sum(d * d, axis=-1)
+        u[i:i + 64] = -(np.log(d2) - 2 * log_r) @ charge / (4 * np.pi)
+        g[i:i + 64] = -np.einsum("pjk,pj->pk", d, charge / d2) / (2 * np.pi)
+    return u, g
 
 
 def disk_exact_eigenvalues(count):
@@ -209,7 +233,7 @@ class TestExtension:
         pair = ellipse_spectrum[7]
         curve = pair.curve
         t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        _, band = pair.extension_bands()
+        band = pair.extension_band()
         s = 0.5 * band
         vi, _ = pair.evaluate_many(curve.point(t) - s * curve.normal(t))
         vo, _ = pair.evaluate_many(curve.point(t) + s * curve.normal(t))
@@ -221,14 +245,13 @@ class TestExtension:
         )
 
     def test_layer_memory_bounded(self, disk_spectrum, uncertified):
-        # 4096 points just past the Taylor band of the lambda = 40 mode need
-        # 8x upsampled layer quadrature; one (4096, 4096, 2) table peaked
-        # at 512 MB
+        # 4096 points at depth 0.0126 inside the lambda = 40 mode read the
+        # Cauchy formula; unblocked, its (4096, 512) complex tables peaked at
+        # 67 MB (the layer quadrature's (4096, 4096, 2) table once at 512 MB)
         import tracemalloc
 
         pair = uncertified(disk_spectrum[80])
-        s_taylor, _ = pair.extension_bands()
-        r = 1.0 - 1.01 * s_taylor
+        r = 1.0 - 1.01 * 0.5 / 40
         th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         x = r * np.stack([np.cos(th), np.sin(th)], axis=1)
         pair.evaluate_many(x[:1])  # build the cached tables untraced
@@ -238,19 +261,18 @@ class TestExtension:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert peak < 8 * 2**20
         assert np.max(np.abs(u - r**40 * pair.trace_at(th))) <= 1e-12
 
-    def test_taylor_memory_bounded(self, ellipse_spectrum, uncertified):
-        # 4096 points inside the Taylor band of a 256-mode pair; one
+    def test_taylor_memory_bounded(self, ellipse_spectrum):
+        # 4096 points in the exterior band of a 256-mode pair; one
         # (4096, 256) complex phase table and its products peaked at 32 MB
         import tracemalloc
 
-        pair = uncertified(ellipse_spectrum[7])
-        s_taylor, _ = pair.extension_bands()
+        pair = ellipse_spectrum[7]
         t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         f = pair.curve.frame(t)
-        x = f.point - 0.5 * s_taylor * f.nu
+        x = f.point + 0.5 * pair.extension_band() * f.nu
         pair.evaluate_many(x[:1])  # build the cached tables untraced
         tracemalloc.start()
         try:
@@ -269,10 +291,10 @@ class TestExtension:
         # the two-level e^{ikt} table and the cumulative powers reproduce
         # one dense np.exp table and float powers of s
         pair = (disk_spectrum if curve == "disk" else ellipse_spectrum)[j]
-        s_taylor, band_out = pair.extension_bands()
+        band_out = pair.extension_band()
         rng = np.random.default_rng(j)
         t = rng.uniform(0, 2 * np.pi, 500)
-        s = rng.uniform(-s_taylor, band_out, 500)
+        s = rng.uniform(-band_out, band_out, 500)
         u, grad = pair._taylor_eval(t, s)
 
         kv, coeff = pair._continuation()
@@ -293,33 +315,23 @@ class TestExtension:
             exact = (1.0 + s) ** 40 * pair.trace_at(t)
             assert np.max(np.abs(u - exact)) <= 1e-12
 
-    @pytest.mark.parametrize("budget", [2**10, 8191])
+    @pytest.mark.parametrize("budget", [2**10, 511])
     def test_block_budget_changes_no_number(
         self, budget, ellipse_spectrum, monkeypatch, uncertified
     ):
-        # Taylor points and layer points at every upsampling factor 1..16
-        # (8191 is below one row of the 16x source table, N = 512)
+        # Cauchy points inside and Taylor points in the exterior band (511 is
+        # below one row of the Cauchy table, N = 512)
         pair = uncertified(ellipse_spectrum[99])
-        s_taylor, _ = pair.extension_bands()
-        depth = np.concatenate(
-            [np.linspace(0.1, 0.9, 40) * s_taylor, np.geomspace(1.01 * s_taylor, 0.4, 160)]
+        band_out = pair.extension_band()
+        s = np.concatenate(
+            [np.linspace(0.1, 0.9, 40) * band_out, -np.geomspace(1e-3, 0.4, 160)]
         )
-        t = np.linspace(0, 2 * np.pi, len(depth), endpoint=False)
+        t = np.linspace(0, 2 * np.pi, len(s), endpoint=False)
         f = pair.curve.frame(t)
-        x = f.point - depth[:, None] * f.nu
+        x = f.point + s[:, None] * f.nu
         u0, g0 = pair.evaluate_many(x)
-
-        factors = set()
-        layer_eval = pair._layer_eval
-
-        def spy(pts, factor):
-            factors.add(factor)
-            return layer_eval(pts, factor)
-
-        monkeypatch.setattr(pair, "_layer_eval", spy)
         monkeypatch.setattr(steklov, "_BLOCK_BUDGET", budget)
         u, g = pair.evaluate_many(x)
-        assert factors == {1, 2, 4, 8, 16}
         assert np.max(np.abs(u - u0)) <= 1e-14 * np.max(np.abs(u0))
         assert np.max(np.abs(g - g0)) <= 1e-14 * np.max(np.abs(g0))
 
@@ -391,50 +403,86 @@ class TestCertifiedPolynomial:
         assert pair._poly() is not None
         x = interior_points(pair.curve, 0.1, 400, j)
         u, g = pair.evaluate_many(x)
-        ref_u, ref_g = pair._layer_eval(x, 16)
+        ref_u, ref_g = layer_reference(pair, x, 16)
         sup = np.max(np.abs(pair.trace))
         assert np.max(np.abs(u - ref_u)) <= 1e-13 * sup
         assert np.max(np.abs(g - ref_g)) <= 1e-13 * pair.eigenvalue * sup
 
-    @pytest.mark.parametrize("curve", ["ellipse", "perturbed"])
-    @pytest.mark.parametrize("j", [3, 7])
+    @pytest.mark.parametrize(
+        "j, curve",
+        [(3, "ellipse"), (3, "perturbed"), (7, "ellipse"), (7, "perturbed")]
+        + [(j, "rough") for j in (1, 3, 7, 20, 40)],
+    )
     def test_inner_edge_of_taylor_band(
-        self, curve, j, ellipse_spectrum, perturbed_spectrum
+        self, j, curve, ellipse_spectrum, perturbed_spectrum, rough_spectrum
     ):
-        # at small lambda the normal Taylor series misses the layer value at
-        # depth 0.99 s_taylor by up to 2.9e-8 of sup (2.0e-6 lambda sup in
-        # the gradient); the certified polynomial does not
-        pair = (ellipse_spectrum if curve == "ellipse" else perturbed_spectrum)[j]
-        s_taylor, _ = pair.extension_bands()
+        # around depth min(0.5 / lambda, 0.15 delta), where the normal Taylor
+        # series once handed over to the layer quadrature: it missed the layer
+        # value by up to 2.9e-8 of sup (2.0e-6 lambda sup in the gradient),
+        # and on rough pairs, which have no certificate, by 4.9e-12
+        # (2.5e-10); the polynomial and the Cauchy formula do not
+        spectra = {"ellipse": ellipse_spectrum, "perturbed": perturbed_spectrum}
+        pair = spectra.get(curve, rough_spectrum)[j]
+        assert (pair._poly() is None) == (curve == "rough")
+        edge = min(0.5 / max(pair.eigenvalue, 1.0), 0.15 * pair.curve.max_tube_halfwidth())
         t = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
         f = pair.curve.frame(t)
-        x = f.point - 0.99 * s_taylor * f.nu
-        u, g = pair.evaluate_many(x)
-        ref_u, ref_g = pair._layer_eval(x, 16)
         sup = np.max(np.abs(pair.trace))
-        assert np.max(np.abs(u - ref_u)) <= 1e-13 * sup
-        assert np.max(np.abs(g - ref_g)) <= 1e-11 * pair.eigenvalue * sup
+        for depth in (0.5, 0.99, 1.5):
+            x = f.point - depth * edge * f.nu
+            u, g = pair.evaluate_many(x)
+            ref_u, ref_g = layer_reference(pair, x, 16)
+            assert np.max(np.abs(u - ref_u)) <= 1e-13 * sup
+            assert np.max(np.abs(g - ref_g)) <= 1e-11 * pair.eigenvalue * sup
 
     def test_forced_fallback_reads_the_kernels(self, ellipse_spectrum, uncertified):
-        # without a certificate every point takes the Taylor series (exterior
-        # band and s > -s_taylor) or the layer quadrature, bit for bit
+        # without a certificate every interior point reads the Cauchy formula
+        # and every point of the exterior band the Taylor series, bit for bit
         pair = uncertified(ellipse_spectrum[7])
-        s_taylor, band_out = pair.extension_bands()
+        band_out = pair.extension_band()
         t = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
         f = pair.curve.frame(t)
-        s_near = np.r_[np.full(15, 0.5 * band_out), np.full(15, -0.5 * s_taylor)]
+        s_near = np.r_[np.full(15, 0.5 * band_out), np.full(15, -0.5 * band_out)]
         x_near = f.point + s_near[:, None] * f.nu
-        x_deep = interior_points(pair.curve, 0.3, 30, 7)  # upsampling factor 1
+        x_deep = interior_points(pair.curve, 0.3, 30, 7)
         u, g = pair.evaluate_many(np.concatenate([x_near, x_deep]))
         assert pair._cont["poly"] is None
-        t_near, s_near, _ = pair.curve.nearest_point_many(x_near)
-        ref = [pair._taylor_eval(t_near, s_near), pair._layer_eval(x_deep, 1)]
+        t_out, s_out, _ = pair.curve.nearest_point_many(x_near[:15])
+        ref = [
+            pair._taylor_eval(t_out, s_out),
+            pair._cauchy_eval(np.concatenate([x_near[15:], x_deep])),
+        ]
         assert np.array_equal(u, np.concatenate([ref[0][0], ref[1][0]]))
         assert np.array_equal(g, np.concatenate([ref[0][1], ref[1][1]]))
 
+    @pytest.mark.parametrize("j", [5, 24, 80])
+    def test_cauchy_disk_modes_exact(self, j, disk_spectrum, uncertified):
+        # mode k extends to r^k trace(theta) up to the curve: points within
+        # 1e-15 of it and points on the nodes, which read the nodes' data
+        pair, k = uncertified(disk_spectrum[j]), (j + 1) // 2
+        rng = np.random.default_rng(j)
+        nodes = pair._cauchy()[0][rng.choice(pair.dtn.N, 50, replace=False)]
+        r = np.concatenate([
+            np.sqrt(rng.uniform(0.0, 1.0, 1000)),
+            1.0 - 10 ** rng.uniform(-15, -2, 1000),
+            np.abs(nodes),
+        ])
+        th = np.concatenate([rng.uniform(0.0, 2 * np.pi, 2000), np.angle(nodes) % (2 * np.pi)])
+        e_r = np.stack([np.cos(th), np.sin(th)], axis=1)
+        e_th = np.stack([-np.sin(th), np.cos(th)], axis=1)
+        x = r[:, None] * e_r
+        x[2000:] = np.stack([nodes.real, nodes.imag], axis=1)
+        u, g = pair.evaluate_many(x, th, np.minimum(r - 1.0, 0.0))
+        assert pair._cont["poly"] is None
+        f, df = pair.trace_at(th, derivative=True)
+        want = r[:, None] ** (k - 1) * (k * f[:, None] * e_r + df[:, None] * e_th)
+        sup = np.max(np.abs(pair.trace))
+        assert np.max(np.abs(u - r**k * f)) <= 1e-13 * sup
+        assert np.max(np.abs(g - want)) <= 5e-13 * k * sup
+
     def test_exterior_band_reads_the_taylor_series(self, ellipse_spectrum):
         pair = ellipse_spectrum[7]
-        _, band_out = pair.extension_bands()
+        band_out = pair.extension_band()
         t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
         f = pair.curve.frame(t)
         x = np.concatenate([f.point + 0.5 * band_out * f.nu, 0.5 * f.point])
@@ -458,7 +506,7 @@ class TestCertifiedPolynomial:
     def test_outside_band_rejected_with_interior_points(self, ellipse_spectrum):
         pair = ellipse_spectrum[7]
         assert pair._poly() is not None
-        _, band_out = pair.extension_bands()
+        band_out = pair.extension_band()
         t = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         f = pair.curve.frame(t)
         x = np.concatenate([0.5 * f.point, f.point[:1] + 1.5 * band_out * f.nu[:1]])
@@ -470,21 +518,24 @@ class TestCertifiedPolynomial:
 
 
 class TestInsideRouting:
-    @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("disk", 5)])
+    @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("disk", 5), ("rough", 7)])
     def test_inside_test_keeps_outputs_bit_for_bit(
-        self, curve, j, ellipse_spectrum, disk_spectrum
+        self, curve, j, ellipse_spectrum, disk_spectrum, rough_spectrum
     ):
         # points marked inside skip the projection; the rest are projected
-        # as when t and s come from one projection of every point
-        pair = (ellipse_spectrum if curve == "ellipse" else disk_spectrum)[j]
-        assert pair._poly() is not None
-        s_taylor, band_out = pair.extension_bands()
+        # as when t and s come from one projection of every point, whether
+        # the pair reads the polynomial inside or, uncertified, the Cauchy
+        # formula
+        spectra = {"ellipse": ellipse_spectrum, "disk": disk_spectrum}
+        pair = spectra.get(curve, rough_spectrum)[j]
+        assert (pair._poly() is None) == (curve == "rough")
+        band_out = pair.extension_band()
         rng = np.random.default_rng(j)
         f = pair.curve.frame(rng.uniform(0.0, 2 * np.pi, 1500))
         off = np.concatenate([
             rng.choice([-1.0, 1.0], 500) * 10 ** rng.uniform(-16, -12, 500),
             rng.uniform(0.0, band_out, 500),
-            -rng.uniform(0.0, 2 * s_taylor, 500),
+            -rng.uniform(0.0, 0.05, 500),
         ])
         x = np.concatenate([
             interior_points(pair.curve, 0.05, 3000, j), f.point + off[:, None] * f.nu
@@ -496,12 +547,11 @@ class TestInsideRouting:
         ref_u, ref_g = pair.evaluate_many(x, t, s)
         assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
 
-    def test_domain_mass_projects_few_points(self, ellipse_spectrum, monkeypatch):
-        # the 32,768 quadrature points lie inside the curve, almost all of
-        # them beyond every edge's margin, so almost none needs a foot point
+    @staticmethod
+    def projected_by_domain_mass(pair, monkeypatch):
+        """Points that domain_mass(pair) sends to nearest_point_many."""
         from steklab.nodal import domain_mass
 
-        pair = ellipse_spectrum[7]
         projected = []
         nearest = geometry.BoundaryCurve.nearest_point_many
 
@@ -511,7 +561,20 @@ class TestInsideRouting:
 
         monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
         domain_mass(pair)
-        assert sum(projected) <= 300
+        return sum(projected)
+
+    def test_domain_mass_projects_few_points(self, ellipse_spectrum, monkeypatch):
+        # the 32,768 quadrature points lie inside the curve, almost all of
+        # them beyond every edge's margin, so almost none needs a foot point
+        assert self.projected_by_domain_mass(ellipse_spectrum[7], monkeypatch) <= 300
+
+    def test_uncertified_domain_mass_projects_few_points(
+        self, rough_spectrum, monkeypatch
+    ):
+        # the Cauchy formula needs no foot point either
+        pair = rough_spectrum[7]
+        assert pair._poly() is None
+        assert self.projected_by_domain_mass(pair, monkeypatch) <= 300
 
 
 class TestInteriorBound:
@@ -524,3 +587,8 @@ class TestInteriorBound:
     def test_ball_must_fit(self, disk_spectrum):
         with pytest.raises(OutOfDomainError):
             interior_sup_bound_check(disk_spectrum[3], (0.8, 0.0), 0.5)
+
+    def test_ball_outside_the_curve_rejected(self, disk_spectrum):
+        # 0.06 from the curve, but outside: only the exterior band is there
+        with pytest.raises(OutOfDomainError):
+            interior_sup_bound_check(disk_spectrum[3], (1.06, 0.0), 0.03)
