@@ -132,10 +132,14 @@ class NodalReport:
 
 
 def nyquist_guard(pair):
-    """Minimal admissible sample count: 16 trace oscillations per wavelength."""
+    """Minimal admissible sample count: 16 samples per wavelength 2 pi / lambda
+    of the trace, over the perimeter. The ceiling is taken after a relative
+    slack of 1e-12 is removed, so a count that is an integer in exact
+    arithmetic (320 for the disk's lambda = 20) does not round up to the
+    next one when lambda carries round-off."""
     lam = pair.eigenvalue
     perimeter = pair.curve.perimeter
-    return int(np.ceil(16.0 * lam * perimeter / TWO_PI))
+    return int(np.ceil(16.0 * lam * perimeter / TWO_PI * (1.0 - 1e-12)))
 
 
 def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):

@@ -71,6 +71,12 @@ class TestBoundaryZeros:
         with pytest.raises(UndersampledError):
             boundary_zeros(pair, samples=100)
 
+    @pytest.mark.parametrize("rel", [-4e-15, 0.0, 4e-15])
+    def test_guard_ignores_round_off(self, disk_spectrum, rel):
+        # lambda = 20 to round-off, as solvers return it, needs 320 samples
+        pair = dataclasses.replace(disk_spectrum[40], eigenvalue=20.0 * (1.0 + rel))
+        assert nyquist_guard(pair) == 320
+
     def test_tangential_flag(self, disk_spectrum):
         # f^2 touches zero without crossing; build it from a degenerate pair
         pair = disk_spectrum[5]

@@ -1,10 +1,12 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from steklab import geometry, steklov
-from steklab.errors import OutOfDomainError, SolverError
+from steklab.errors import ConditioningError, OutOfDomainError, SolverError
 from steklab.steklov import (
     SpectrumSlice,
     build_dtn,
@@ -22,6 +24,20 @@ def uncertified(monkeypatch):
     Taylor series in the exterior band."""
     monkeypatch.setattr(steklov, "_POLY_MAX_DEGREE", 0)
     return dataclasses.replace
+
+
+@pytest.fixture
+def eigh_subsets(monkeypatch):
+    """The subset_by_index of every scipy.linalg.eigh call, in order."""
+    subsets = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, **kw):
+        subsets.append(kw["subset_by_index"])
+        return eigh(a, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return subsets
 
 
 def layer_reference(pair, x, factor):
@@ -69,6 +85,14 @@ class TestDtn:
     def test_row_sums_annihilate_constants(self, ellipse_curve):
         dtn = build_dtn(ellipse_curve, 256)
         assert np.max(np.abs(dtn.L @ np.ones(256))) < 1e-9
+
+    def test_unit_capacity_rejected(self):
+        # diameter 0.5 sets the kernel scale R = 1, the unit disk's
+        # logarithmic capacity, where S is singular up to round-off
+        curve = geometry.disk()
+        curve.diameter = 0.5
+        with pytest.raises(ConditioningError):
+            build_dtn(curve, 512)
 
     def test_odd_node_count_rejected(self, disk_curve):
         with pytest.raises(ValueError):
@@ -126,6 +150,55 @@ class TestSpectrum:
         cut = solve_spectrum(dtn, 6)[5].trace
         whole = solve_spectrum(dtn, 7)[5].trace
         assert np.max(np.abs(cut - whole)) < 1e-12 * np.max(np.abs(whole))
+
+    def test_cut_pair_solved_in_one_call(self, disk_curve, eigh_subsets):
+        # count = 8 cuts the k = 4 eigenspace {7, 8}; the first subset,
+        # indices 0..9, completes it
+        dtn = build_dtn(disk_curve, 128)
+        cut = solve_spectrum(dtn, 8)[7].trace
+        assert eigh_subsets == [[0, 9]]
+        whole = solve_spectrum(dtn, 9)[7].trace
+        assert np.max(np.abs(cut - whole)) < 1e-12 * np.max(np.abs(whole))
+
+    def test_cut_cluster_grows_the_subset(self, eigh_subsets):
+        # an operator with the triple eigenvalue 3 at indices 3..5 in a
+        # random basis: count = 4 cuts it after its first member, and the
+        # first subset, indices 0..5, ends inside it, so the solve grows
+        # the subset and pins the cluster whole
+        N = 64
+        lam = np.r_[0.0, 1.0, 2.0, 3.0, 3.0, 3.0, np.arange(4.0, N - 2)]
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((N, N)))
+        A = (q * lam) @ q.T
+        dtn = types.SimpleNamespace(
+            N=N, weights=np.ones(N), L=A, symmetrized=lambda: A,
+            solve_density=lambda f: f,
+        )
+        cut = solve_spectrum(dtn, 4)
+        assert eigh_subsets == [[0, 5], [0, 7]]
+        whole = solve_spectrum(dtn, 6)
+        assert eigh_subsets[2:] == [[0, 7]]
+        ref = whole[3].trace
+        assert np.max(np.abs(cut[3].trace - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert cut.eigenvalues == pytest.approx(lam[:4], abs=1e-12)
+
+    def test_disk_eigenvalues_fine_grid(self, disk_curve):
+        lam = solve_spectrum(build_dtn(disk_curve, 1024), 100).eigenvalues
+        exact = disk_exact_eigenvalues(100)
+        assert lam[0] == 0.0
+        assert np.max(np.abs(lam[1:] - exact[1:]) / exact[1:]) < 1e-13
+
+    def test_batched_residuals_and_densities(self, ellipse_spectrum):
+        # the per-pair formulas: a residual is round-off, so it is compared
+        # on the scale of L f; two backward-stable solves differ by about
+        # kappa_1(S) eps = 4e-13 of sup (1.1e-12 on the constant mode)
+        dtn = ellipse_spectrum.dtn
+        for pair in ellipse_spectrum:
+            f = pair.trace
+            scale = max(pair.eigenvalue, 1.0) * np.max(np.abs(f))
+            resid = np.max(np.abs(dtn.L @ f - pair.eigenvalue * f))
+            assert abs(pair.residual - resid) <= 1e-12 * scale
+            sigma = scipy.linalg.lu_solve(dtn._S_lu, f)
+            assert np.max(np.abs(pair.density - sigma)) <= 5e-12 * np.max(np.abs(sigma))
 
     def test_count_capped_by_resolution(self, disk_curve):
         dtn = build_dtn(disk_curve, 128)

@@ -2,7 +2,8 @@
 thread count: eigh returns a thread-dependent basis inside each degenerate
 eigenspace, which solve_spectrum replaces by a pinned one. Neither does the
 constant mode's eigenvalue, which solve_spectrum returns as exactly 0, nor
-the sign of an ellipse eigenvector, whose largest samples tie in magnitude."""
+the sign of an ellipse eigenvector, whose largest samples tie in magnitude.
+Each ellipse trace moves by no more than its Davis-Kahan bound."""
 
 import os
 import subprocess
@@ -21,6 +22,7 @@ from steklab.nodal import boundary_zeros
 from steklab.steklov import build_dtn, solve_spectrum
 
 spectrum = solve_spectrum(build_dtn(geometry.disk(), 512), 81)
+ellipse = solve_spectrum(build_dtn(geometry.ellipse(2.0, 1.0), 512), 100)
 reports = [boundary_zeros(pair) for pair in spectrum]
 # the input of test_nodal.py::TestBoundaryZeros::test_tangential_flag
 fake = dataclasses.replace(spectrum[5], trace=spectrum[5].trace - np.min(spectrum[5].trace))
@@ -28,9 +30,9 @@ reports.append(boundary_zeros(fake, flag_rel=1e-5))
 np.savez(
     sys.argv[1],
     traces=np.array([pair.trace for pair in spectrum]),
-    ellipse=np.array(
-        [pair.trace for pair in solve_spectrum(build_dtn(geometry.ellipse(2.0, 1.0), 512), 100)]
-    ),
+    ellipse=np.array([pair.trace for pair in ellipse]),
+    ellipse_lam=ellipse.eigenvalues,
+    ellipse_norm=np.linalg.norm(ellipse.dtn.symmetrized(), 2),
     counts=[rep.count for rep in reports],
     flags=[len(rep.tangential_flags) for rep in reports],
     # the constant mode at N = 256, where round-off gave it 0 at one thread
@@ -66,3 +68,20 @@ def test_disk_spectrum_thread_independent(tmp_path):
     # near-degenerate ellipse pairs mix by a few 1e-9 of sup; a sign flip
     # would make the inner product negative
     assert np.all(np.sum(one["ellipse"] * two["ellipse"], axis=1) > 0)
+    # and every trace rotates by no more than the Davis-Kahan bound
+    bound = rotation_bound(one["ellipse_lam"], one["ellipse_norm"])
+    scale = np.max(np.abs(one["ellipse"]), axis=1)
+    diff = np.max(np.abs(one["ellipse"] - two["ellipse"]), axis=1)
+    assert np.all(diff <= bound * scale)
+
+
+def rotation_bound(lam, norm):
+    """max(1e-9, 10 eps ||A||_2 / gap_j) per pair, the thread-count contract
+    of the traces (Davis & Kahan, SIAM J. Numer. Anal. 7 (1970)). gap_j is
+    the distance from lambda_j to the nearest eigenvalue outside its pinned
+    cluster (neighbours within 1e-8 max(lambda, 1)) among those computed; the
+    last pair sees only its lower neighbours, which can only tighten it."""
+    starts = np.r_[True, np.diff(lam) > 1e-8 * np.maximum(lam[1:], 1.0)]
+    cluster = np.cumsum(starts)
+    gap = np.array([np.min(np.abs(lam[cluster != c] - x)) for x, c in zip(lam, cluster)])
+    return np.maximum(1e-9, 10 * np.finfo(float).eps * norm / gap)
