@@ -374,6 +374,10 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
     crossing of the curve beyond that floor is an exit (d . nu > 0), and a
     ray that leaves at once has extent 0 and is not evaluated.
 
+    The Gauss points lie before their rays' first exits, so u is read by
+    `evaluate_inside`, values only, with no inside test (see there for a
+    near-tangent ray whose computed exit is a round-off outside).
+
     Raises OutOfDomainError when no ray has a positive extent, as from a
     center outside the domain by more than the floor, and ValueError unless
     r is positive and finite.
@@ -386,7 +390,8 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
     if not extent.any():
         raise OutOfDomainError(f"ball center {center} lies outside the domain")
     return _polar_integral(
-        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, extent, n_r
+        lambda p: pair.evaluate_inside(p, gradient=False) ** 2,
+        center, theta, extent, n_r,
     )
 
 
@@ -397,7 +402,7 @@ def domain_mass(pair):
     angle of the probe points about it must increase, else RegionError. The
     512 rays start at the angle of gamma(0) and each runs to its one exit
     from the domain (the ray kernel of clipped_ball_mass, uncapped), with 64
-    Gauss nodes per ray.
+    Gauss nodes per ray. As there, u is read from `evaluate_inside`.
     """
     curve = pair.curve
     center = curve.centroid
@@ -407,7 +412,7 @@ def domain_mass(pair):
         raise RegionError("domain is not star-shaped about its centroid")
     theta = np.linspace(phi[0], phi[0] + TWO_PI, 512, endpoint=False)
     return _polar_integral(
-        lambda p: pair.evaluate_many(p)[0] ** 2,
+        lambda p: pair.evaluate_inside(p, gradient=False) ** 2,
         center, theta, _ray_extents(curve, center, theta, np.inf), 64,
     )
 
@@ -520,7 +525,11 @@ class SpecialPointReport:
 
 
 def boundary_net(curve, spacing):
-    """Curve parameters of an equal-arclength net with the given spacing."""
+    """Curve parameters of an equal-arclength net with the given spacing.
+    Raises ValueError unless the spacing is positive and below half the
+    perimeter."""
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"net spacing must be positive and finite, got {spacing}")
     if spacing >= curve.perimeter / 2:
         raise ValueError("net spacing must be below half the perimeter")
     m = int(np.ceil(curve.perimeter / spacing))
@@ -534,7 +543,10 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
     """Exhaustive rho/2-net search for the boundary point whose rho-ball
     carries the largest share of the squared mass of the extension. Net
     masses within 1e-12 (relative) of the largest tie, and the first of
-    them in net order wins."""
+    them in net order wins. Raises ValueError unless rho is positive and
+    below the tube half-width."""
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError(f"net ball radius must be positive and finite, got {rho}")
     curve = pair.curve
     if rho >= curve.max_tube_halfwidth():
         raise ValueError("net ball radius must stay below the tube half-width")

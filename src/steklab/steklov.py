@@ -15,8 +15,10 @@ boundary residual bounds the interior error by the maximum principle. Inside
 a pair without a certificate, u = Re f for the analytic f = u + iv whose
 boundary values follow from the trace (dv/dt = |gamma'| du/dnu), evaluated
 by the barycentric Cauchy formula (Helsing & Ojala, J. Comput. Phys. 227
-(2008)), accurate up to the curve. In the thin exterior band the potential
-is continued through a Taylor expansion in the normal offset whose
+(2008)), accurate up to the curve. `evaluate_inside` reads these two with
+no inside test, for points inside by construction such as polar grids;
+`evaluate_many` routes points by their side. In the thin exterior band the
+potential is continued through a Taylor expansion in the normal offset whose
 coefficients are grid functions of the boundary parameter, computed
 recursively from harmonicity in tube coordinates.
 """
@@ -38,7 +40,7 @@ TWO_PI = 2.0 * np.pi
 _TAYLOR_TERMS = 20
 _MODE_FLOOR = 1e-14
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
-_EVAL_CHUNK = 4096  # points per block of evaluate_many: inside test, projection, kernels
+_EVAL_CHUNK = 4096  # points per block of evaluate_many and of evaluate_inside
 _BLOCK_BUDGET = 2**15  # entries of one Cauchy or Taylor block table: 256 KB stays in L2
 _POLY_RTOL = 1e-13  # certificate: boundary residual of the fit over sup of the trace
 _POLY_START = 16  # first degree of the doubling degree search
@@ -359,7 +361,7 @@ class SteklovEigenpair:
             )[0]
             coef = x[: n + 1] - 1j * np.r_[0.0, x[n + 1:]]
             trial = (np.array(nodes), np.array(inv), coef)
-            resid = np.max(np.abs(_horner(trial, z_chk)[0].real - f_chk))
+            resid = np.max(np.abs(_horner(trial, z_chk, derivative=False).real - f_chk))
             if resid <= tol:
                 fit = trial + (float(resid),)
             n *= 2
@@ -373,6 +375,34 @@ class SteklovEigenpair:
         lam = max(self.eigenvalue, 1.0)
         return min(0.1 * self.curve.max_tube_halfwidth(), 0.5 / lam)
 
+    def evaluate_inside(self, x, gradient=True):
+        """u, or with gradient the pair (u, grad u), at points x inside the
+        curve: the certified polynomial of `_poly`, u = Re p and
+        grad u = (Re p', -Im p'), or else the Cauchy formula of `_cauchy`,
+        in blocks of _EVAL_CHUNK points.
+
+        Precondition: every point lies inside; nothing checks it, as there
+        is no inside test and no projection. A point a round-off outside, as
+        before a near-tangent ray's computed exit, reads what a point a
+        round-off inside reads, to round-off (Re p is harmonic across the
+        curve and the discrete Cauchy sums are smooth off the nodes); a
+        point farther out reads a value with no bound."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        fit = self._poly()
+        vals = np.empty(len(x))
+        grads = np.empty((len(x), 2))
+        for start in range(0, len(x), _EVAL_CHUNK):
+            sl = slice(start, start + _EVAL_CHUNK)
+            if fit is None:
+                vals[sl], grads[sl] = self._cauchy_eval(x[sl])
+            elif gradient:
+                p, dp = _horner(fit, _complex(x[sl]))
+                vals[sl] = p.real
+                grads[sl] = np.stack([dp.real, -dp.imag], axis=1)
+            else:
+                vals[sl] = _horner(fit, _complex(x[sl]), derivative=False).real
+        return (vals, grads) if gradient else vals
+
     def evaluate_many(self, x, t=None, s=None):
         """u and grad u at an array of points inside Omega or in the thin
         exterior extension band.
@@ -381,11 +411,10 @@ class SteklovEigenpair:
         they are not given, the band check and the routing need s, so the
         points that `BoundaryCurve.surely_inside` leaves in doubt are
         projected here; those it marks inside are routed inside. A point
-        with s <= 0 reads the certified polynomial u = Re p,
-        grad u = (Re p', -Im p') of `_poly` when the pair has one, and the
-        barycentric Cauchy formula of `_cauchy` otherwise; a point with
-        s > 0 reads the normal Taylor series. Memory is bounded for any
-        number of points: points go in blocks of _EVAL_CHUNK, and both
+        with s <= 0 reads `evaluate_inside`; a point with s > 0 reads the
+        normal Taylor series. Callers whose points are inside by
+        construction call `evaluate_inside` directly. Memory is bounded for
+        any number of points: points go in blocks of _EVAL_CHUNK, and both
         per-point tables, the Cauchy formula's (points, nodes) and the
         Taylor series' (points, modes), hold at most _BLOCK_BUDGET entries
         at a time."""
@@ -410,13 +439,7 @@ class SteklovEigenpair:
                 )
             inside = sb <= 0
             if np.any(inside):
-                fit = self._poly()
-                if fit is not None:
-                    p, dp = _horner(fit, _complex(xb[inside]))
-                    vals[inside] = p.real
-                    grads[inside] = np.stack([dp.real, -dp.imag], axis=1)
-                else:
-                    vals[inside], grads[inside] = self._cauchy_eval(xb[inside])
+                vals[inside], grads[inside] = self.evaluate_inside(xb[inside])
             idx = np.flatnonzero(~inside)
             modes = len(self._continuation()[0]) if len(idx) else 1
             rows = max(1, _BLOCK_BUDGET // (2 * modes))
@@ -435,17 +458,19 @@ def _complex(points):
     return points[:, 0] + 1j * points[:, 1]
 
 
-def _horner(fit, z):
-    """p(z) and p'(z) of a `_poly` fit by Horner's rule: the basis is
-    phi_0 = 1, phi_k = phi_{k-1} (z - nodes[k-1]) inv[k-1]."""
+def _horner(fit, z, derivative=True):
+    """p(z) of a `_poly` fit by Horner's rule and, with derivative, the pair
+    (p(z), p'(z)); the basis is phi_0 = 1, phi_k = phi_{k-1} (z - nodes[k-1])
+    inv[k-1]. The p recurrence does not read p', so p is the same either way."""
     nodes, inv, coef = fit[:3]
     p = np.full(len(z), coef[-1])
     dp = np.zeros(len(z), dtype=complex)
     for k in range(len(nodes) - 1, -1, -1):
         y = z - nodes[k]
-        dp = (dp * y + p) * inv[k]
+        if derivative:
+            dp = (dp * y + p) * inv[k]
         p = coef[k] + y * inv[k] * p
-    return p, dp
+    return (p, dp) if derivative else p
 
 
 def _modes_above(spec, floor):
@@ -644,7 +669,13 @@ class InteriorBoundReport:
 
 
 def interior_sup_bound_check(pair, center, radius):
-    """Empirical constant in sup_{B(r/2)} |u| <= C (mean of u^2 over B(r))^(1/2)."""
+    """Empirical constant in sup_{B(r/2)} |u| <= C (mean of u^2 over B(r))^(1/2).
+
+    One projection of the center checks that B(center, r) lies inside, else
+    OutOfDomainError; then u is read by `evaluate_inside`, values only.
+    Raises ValueError unless r is positive and finite."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=float)
     _, s, _ = pair.curve.nearest_point_many(center[None, :])
     if not s[0] < -radius:
@@ -652,7 +683,8 @@ def interior_sup_bound_check(pair, center, radius):
 
     theta = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     integral = _polar_integral(
-        lambda p: pair.evaluate_many(p)[0] ** 2, center, theta, radius, 48
+        lambda p: pair.evaluate_inside(p, gradient=False) ** 2,
+        center, theta, radius, 48,
     )
     mean_sq = integral / (np.pi * radius**2)
 
@@ -661,8 +693,7 @@ def interior_sup_bound_check(pair, center, radius):
     pts2 = center + np.stack(
         [rr2 * np.cos(tt2), rr2 * np.sin(tt2)], axis=-1
     ).reshape(-1, 2)
-    vals2, _ = pair.evaluate_many(pts2)
-    sup_half = float(np.max(np.abs(vals2)))
+    sup_half = float(np.max(np.abs(pair.evaluate_inside(pts2, gradient=False))))
     root = float(np.sqrt(mean_sq))
     return InteriorBoundReport(
         center=center,

@@ -265,6 +265,10 @@ class UnitField:
         self.points += len(pts)
         return np.ones(len(pts)), np.zeros((len(pts), 2))
 
+    def evaluate_inside(self, pts, gradient=True):
+        u, g = self.evaluate_many(pts)
+        return (u, g) if gradient else u
+
 
 def test_dense_scans_read_the_probe_table(disk_spectrum, monkeypatch):
     # after construction, no scan samples the curve at all 8192 probe points
@@ -660,6 +664,13 @@ class TestSpecialPoint:
     def test_rho_capped(self, disk_spectrum):
         with pytest.raises(ValueError):
             special_point_search(disk_spectrum[9], 1.5)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, -0.1, np.nan, np.inf])
+    def test_spacing_and_rho_must_be_positive_and_finite(self, disk_spectrum, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            boundary_net(disk_spectrum[9].curve, h)
+        with pytest.raises(ValueError, match="positive and finite"):
+            special_point_search(disk_spectrum[9], h)
 
 
 class TestBoundaryControlsSolid:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from steklab import geometry, steklov
+from steklab import geometry, nodal, steklov
 from steklab.errors import ConditioningError, OutOfDomainError, SolverError
+from steklab.frequency import _polar_integral
 from steklab.steklov import (
     SpectrumSlice,
     build_dtn,
@@ -623,8 +624,6 @@ class TestInsideRouting:
     @staticmethod
     def projected_by_domain_mass(pair, monkeypatch):
         """Points that domain_mass(pair) sends to nearest_point_many."""
-        from steklab.nodal import domain_mass
-
         projected = []
         nearest = geometry.BoundaryCurve.nearest_point_many
 
@@ -633,13 +632,13 @@ class TestInsideRouting:
             return nearest(self, x)
 
         monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
-        domain_mass(pair)
+        nodal.domain_mass(pair)
         return sum(projected)
 
     def test_domain_mass_projects_few_points(self, ellipse_spectrum, monkeypatch):
-        # the 32,768 quadrature points lie inside the curve, almost all of
-        # them beyond every edge's margin, so almost none needs a foot point
-        assert self.projected_by_domain_mass(ellipse_spectrum[7], monkeypatch) <= 300
+        # the 32,768 quadrature points lie inside the curve by construction,
+        # so none needs a foot point
+        assert self.projected_by_domain_mass(ellipse_spectrum[7], monkeypatch) == 0
 
     def test_uncertified_domain_mass_projects_few_points(
         self, rough_spectrum, monkeypatch
@@ -647,7 +646,102 @@ class TestInsideRouting:
         # the Cauchy formula needs no foot point either
         pair = rough_spectrum[7]
         assert pair._poly() is None
-        assert self.projected_by_domain_mass(pair, monkeypatch) <= 300
+        assert self.projected_by_domain_mass(pair, monkeypatch) == 0
+
+    def test_polar_masses_skip_the_inside_test(
+        self, ellipse_spectrum, rough_spectrum, monkeypatch
+    ):
+        # polar-grid points are inside by construction: no inside test, and
+        # only interior_sup_bound_check's one projection of its center
+        calls = []
+        surely_inside = geometry.BoundaryCurve.surely_inside
+        nearest = geometry.BoundaryCurve.nearest_point_many
+
+        def spy_inside(self, x):
+            calls.append(("surely_inside", len(x)))
+            return surely_inside(self, x)
+
+        def spy_nearest(self, x):
+            calls.append(("nearest_point_many", len(np.atleast_2d(x))))
+            return nearest(self, x)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "surely_inside", spy_inside)
+        monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", spy_nearest)
+        for pair in (ellipse_spectrum[7], rough_spectrum[7]):
+            center = pair.curve.point(np.array([0.7]))[0]
+            nodal.clipped_ball_mass(pair, center, 0.1, n_r=20, n_theta=96)
+            nodal.domain_mass(pair)
+            assert calls == []
+            interior_sup_bound_check(pair, (0.1, 0.05), 0.4)
+            assert calls == [("nearest_point_many", 1)]
+            calls.clear()
+
+    @staticmethod
+    def through_evaluate_many(pair, monkeypatch, mass, *args, **kw):
+        """mass(pair, *args, **kw), and its polar quadrature with u read
+        through evaluate_many in place of evaluate_inside."""
+        grids = []
+
+        def recording(integrand, *grid):
+            grids.append(grid)
+            return _polar_integral(integrand, *grid)
+
+        monkeypatch.setattr(nodal, "_polar_integral", recording)
+        got = mass(pair, *args, **kw)
+        ref = _polar_integral(lambda p: pair.evaluate_many(p)[0] ** 2, *grids[0])
+        return got, ref
+
+    @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("disk", 9)])
+    def test_certified_polar_masses_match_evaluate_many(
+        self, curve, j, ellipse_spectrum, disk_spectrum, monkeypatch
+    ):
+        # the net clipped balls of special_point_search and the domain mass
+        # are bit-identical to the inside-tested route
+        pair = {"ellipse": ellipse_spectrum, "disk": disk_spectrum}[curve][j]
+        assert pair._poly() is not None
+        for p in pair.curve.point(nodal.boundary_net(pair.curve, 0.15)):
+            got, ref = self.through_evaluate_many(
+                pair, monkeypatch, nodal.clipped_ball_mass, p, 0.3, n_r=20, n_theta=96
+            )
+            assert got == ref
+        got, ref = self.through_evaluate_many(pair, monkeypatch, nodal.domain_mass)
+        assert got == ref
+
+    @pytest.mark.parametrize("j", [7, 20])
+    def test_uncertified_polar_masses_match_evaluate_many(
+        self, j, rough_spectrum, monkeypatch
+    ):
+        # balls centred on the curve have near-tangent rays, whose Gauss
+        # points may lie a round-off outside: the Cauchy formula read there
+        # matches the inside-tested route to 1e-12
+        pair = rough_spectrum[j]
+        assert pair._poly() is None
+        t = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+        for p in pair.curve.point(t):
+            got, ref = self.through_evaluate_many(
+                pair, monkeypatch, nodal.clipped_ball_mass, p, 0.1
+            )
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        got, ref = self.through_evaluate_many(pair, monkeypatch, nodal.domain_mass)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_value_only_horner_is_bit_identical(self, ellipse_spectrum):
+        fit = ellipse_spectrum[7]._poly()
+        z = steklov._complex(interior_points(ellipse_spectrum[7].curve, 0.0, 500, 3))
+        p, _ = steklov._horner(fit, z)
+        assert np.array_equal(steklov._horner(fit, z, derivative=False), p)
+
+    @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("rough", 7)])
+    def test_evaluate_inside_values_without_gradient(
+        self, curve, j, ellipse_spectrum, rough_spectrum
+    ):
+        pair = {"ellipse": ellipse_spectrum, "rough": rough_spectrum}[curve][j]
+        x = interior_points(pair.curve, 0.0, steklov._EVAL_CHUNK + 100, j)
+        # two blocks; inside points of evaluate_many read the same path
+        u, g = pair.evaluate_inside(x)
+        assert np.array_equal(pair.evaluate_inside(x, gradient=False), u)
+        ref_u, ref_g = pair.evaluate_many(x)
+        assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
 
 
 class TestInteriorBound:
@@ -665,3 +759,8 @@ class TestInteriorBound:
         # 0.06 from the curve, but outside: only the exterior band is there
         with pytest.raises(OutOfDomainError):
             interior_sup_bound_check(disk_spectrum[3], (1.06, 0.0), 0.03)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, disk_spectrum, r):
+        with pytest.raises(ValueError, match="positive and finite"):
+            interior_sup_bound_check(disk_spectrum[3], (0.2, 0.1), r)

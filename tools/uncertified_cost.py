@@ -5,13 +5,17 @@ Usage, from the repository root:
     python3 tools/uncertified_cost.py [--src SRC_DIR]
 
 On perturbed_disk(0.2, 5) at N = 512, where `_poly` certifies almost no
-pair, it times for pairs 7 and 40, with BLAS pinned to one thread:
+pair, it times for pairs 7 and 40, with BLAS pinned to one thread unless
+``OPENBLAS_NUM_THREADS`` is set:
 
 - ``evaluate_many`` per point on 20,000 seeded points of the domain, found
   by projection, without t and s, as its callers pass them (best of 5, with
   every per-pair table already built);
-- one ``nodal.special_point_search(pair, 0.1, n_r=20, n_theta=96)``;
-- the points that ``nodal.domain_mass`` sends to ``nearest_point_many``.
+- one ``nodal.special_point_search(pair, 0.1, n_r=20, n_theta=96)``: its
+  clipped balls are centred on the curve and read the Cauchy formula
+  through ``evaluate_inside``, with no inside test;
+- the points that ``nodal.domain_mass`` sends to ``nearest_point_many``:
+  none, as its polar grid is inside by construction.
 
 ``--src`` selects the ``steklab`` sources to time (default: this tree's), so
 one copy of the script measures two trees alike.
@@ -23,7 +27,8 @@ import sys
 import time
 from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", os.environ["OPENBLAS_NUM_THREADS"])
 
 PAIRS = (7, 40)
 REPEATS = 5
