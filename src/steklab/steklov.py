@@ -3,10 +3,11 @@
 The harmonic extension is represented by a single-layer potential u = S[sigma].
 The boundary operator uses a split of the log kernel into the periodic
 singular part -(1/4pi) log(4 sin^2((t-tau)/2)), integrated exactly on
-trigonometric interpolants through a circulant matrix, plus a smooth remainder
-handled by the plain trapezoid rule. The kernel is rescaled by the curve
-diameter so the single-layer matrix stays away from the unit-capacity
-degeneracy.
+trigonometric interpolants by a circulant, plus a smooth remainder handled by
+the plain trapezoid rule (Kress, Linear Integral Equations, 3rd ed. (2014),
+12.3); the parts that depend only on t - tau are one circulant column. The
+kernel is rescaled by the curve diameter so the single-layer matrix stays
+away from the unit-capacity degeneracy.
 
 Inside the domain u is evaluated, where the fit is certified, as Re p for
 one complex polynomial p per eigenpair: a least-squares fit to the trace in a
@@ -47,17 +48,23 @@ _POLY_START = 16  # first degree of the doubling degree search
 _POLY_MAX_DEGREE = 256  # last degree tried, and at most N/2
 
 
-def _log_circulant(N):
-    """Circulant matrix applying f -> -(1/4pi) int log(4 sin^2((t-tau)/2)) f(tau) dtau.
+def _log_circulant_column(N, R):
+    """Column k = i - j mod N of the circulant part of the single-layer matrix
+    before the arclength factor |gamma'_j|.
 
-    Exact on trigonometric polynomials of degree < N/2: the operator has Fourier
-    symbol 1/(2|m|) for m != 0 and 0 for m = 0.
+    It folds together three functions of t_i - t_j alone: the circulant
+    applying f -> -(1/4pi) int log(4 sin^2((t-tau)/2)) f(tau) dtau, exact on
+    trigonometric polynomials of degree < N/2 (Fourier symbol 1/(2|m|) for
+    m != 0 and 0 for m = 0); the term (1/N) log|2 sin(pi k/N)| that the
+    smooth remainder adds back, for k != 0; and the kernel scale (1/N) log R.
     """
     m = np.fft.fftfreq(N, 1.0 / N)
     symbol = np.zeros(N)
     nz = m != 0
     symbol[nz] = 1.0 / (2.0 * np.abs(m[nz]))
-    return scipy.linalg.circulant(np.real(np.fft.ifft(symbol)))
+    col = np.real(np.fft.ifft(symbol)) + np.log(R) / N
+    col[1:] += np.log(np.abs(2.0 * np.sin(np.pi * np.arange(1, N) / N))) / N
+    return col
 
 
 class DtnDiscretization:
@@ -70,13 +77,23 @@ class DtnDiscretization:
     N = 512 and 1024 the estimate equals the exact kappa_1 and is at least
     the 2-norm condition number, so the gate is no looser than an SVD's.
     L = (I/2 + K') S^-1 comes from one transposed solve with the factor.
+
+    Set-up builds three N x N tables from the node coordinates: dx, dy and
+    dist^2 = dx^2 + dy^2. K' is built in place in dx and S in place in
+    dist^2, whose kernel -(1/2pi) log(dist/R) splits into -(1/2N) log dist^2
+    and one circulant column of length N (`_log_circulant_column`); S is
+    then LU-factored in place. The traced peak is about 4 N^2 doubles (the
+    fourth is the product dy^2), and the object keeps 2 N^2: L and the LU
+    factor of S.
     """
 
     def __init__(self, curve: BoundaryCurve, N: int):
+        if not isinstance(N, (int, np.integer)):
+            raise ValueError(f"node count must be an integer, got {N!r}")
         if N % 2 != 0 or N < 64:
             raise ValueError("node count must be even and at least 64")
         self.curve = curve
-        self.N = N
+        self.N = N = int(N)
         self.t = t = np.linspace(0.0, TWO_PI, N, endpoint=False)
         f = curve.frame(t)
         self.speed = f.speed
@@ -84,31 +101,42 @@ class DtnDiscretization:
         self.weights = (TWO_PI / N) * self.speed
         self.kernel_scale = R = 2.0 * curve.diameter
 
-        diff = f.point[:, None, :] - f.point[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, 1.0)
+        # dx[i, j] = x_i - x_j and dy alike, each the transpose of a C-order
+        # table: Fortran order lets lu_factor overwrite S, built in dist^2
+        x, y = f.point[:, 0], f.point[:, 1]
+        dx = (x - x[:, None]).T
+        dy = (y - y[:, None]).T
+        S = dx * dx
+        S += dy * dy
+        np.fill_diagonal(S, 1.0)
 
-        # smooth remainder of the log kernel
-        dt = t[:, None] - t[None, :]
-        sin_half = np.abs(2.0 * np.sin(0.5 * dt))
-        np.fill_diagonal(sin_half, 1.0)
-        Ks = -(1.0 / TWO_PI) * np.log(dist / sin_half) + np.log(R) / TWO_PI
-        np.fill_diagonal(Ks, -(1.0 / TWO_PI) * np.log(self.speed) + np.log(R) / TWO_PI)
+        # adjoint double layer, in place in dx: kernel
+        # -(1/2pi) (x-y).nu(x)/|x-y|^2, smooth on an analytic curve with
+        # diagonal limit -kappa/(4pi), times the weights; then I/2 + K'
+        Kp = dx
+        Kp *= f.nu[:, :1]
+        dy *= f.nu[:, 1:]
+        Kp += dy
+        del dy
+        Kp /= S
+        Kp *= -self.speed / N
+        Kp.flat[:: N + 1] = 0.5 - self.kappa * self.speed / (2.0 * N)
 
-        C = _log_circulant(N)
-        S = (C + (TWO_PI / N) * Ks) * self.speed[None, :]
+        # single layer, in place in dist^2: (2pi/N) times the smooth remainder
+        # -(1/2pi) log(dist/(R |2 sin((t_i - t_j)/2)|)) is -(1/2N) log dist^2
+        # plus a function of i - j mod N, folded with the exact circulant
+        # into one column; entry (i, j) of the sliding view reads
+        # col[(i - j) % N]
+        col = _log_circulant_column(N, R)
+        np.log(S, out=S)
+        S *= -0.5 / N
+        S += np.lib.stride_tricks.sliding_window_view(np.r_[col[1:], col], N)[:, ::-1]
+        S.flat[:: N + 1] = col[0] - np.log(self.speed) / N
+        S *= self.speed
 
-        # adjoint double layer: kernel -(1/2pi) (x-y).nu(x)/|x-y|^2, smooth on
-        # an analytic curve with diagonal limit -kappa/(4pi)
-        dots = np.einsum("ijk,ik->ij", diff, f.nu)
-        Kp = -(1.0 / TWO_PI) * dots / dist**2
-        np.fill_diagonal(Kp, -self.kappa / (2.0 * TWO_PI))
-        Kp = Kp * self.speed[None, :] * (TWO_PI / N)
-
-        self._S_lu = scipy.linalg.lu_factor(S)
-        rcond, _ = scipy.linalg.lapack.dgecon(
-            self._S_lu[0], np.max(np.sum(np.abs(S), axis=0)), norm="1"
-        )
+        norm1 = np.max(np.sum(np.abs(S), axis=0))
+        self._S_lu = scipy.linalg.lu_factor(S, overwrite_a=True)
+        rcond, _ = scipy.linalg.lapack.dgecon(self._S_lu[0], norm1, norm="1")
         cond = 1.0 / rcond if rcond > 0 else np.inf
         if cond > 1e12:
             raise ConditioningError(
@@ -116,7 +144,6 @@ class DtnDiscretization:
                 "rescale the domain away from unit logarithmic capacity"
             )
         # L = (I/2 + K') S^-1, from S^T L^T = (I/2 + K')^T
-        Kp.flat[:: N + 1] += 0.5
         self.L = scipy.linalg.lu_solve(self._S_lu, Kp.T, trans=1).T
 
     def solve_density(self, f):
@@ -124,16 +151,18 @@ class DtnDiscretization:
         return scipy.linalg.lu_solve(self._S_lu, f)
 
     def symmetrized(self):
-        """W^(1/2) L W^(-1/2) where W is the diagonal of arclength weights."""
+        """W^(1/2) L W^(-1/2) where W is the diagonal of arclength weights, as
+        a new array: `solve_spectrum` symmetrizes it in place."""
         sqw = np.sqrt(self.weights)
         return self.L * (sqw[:, None] / sqw[None, :])
 
 
 def build_dtn(curve, N):
     """Dense DtN matrix on N equispaced collocation nodes; raises
+    ValueError unless N is an even integer of at least 64, and
     ConditioningError when the 1-norm condition estimate of the
     single-layer matrix exceeds 1e12 (see `DtnDiscretization`)."""
-    return DtnDiscretization(curve, int(N))
+    return DtnDiscretization(curve, N)
 
 
 # -- eigenpairs --------------------------------------------------------------------
@@ -284,7 +313,8 @@ class SteklovEigenpair:
         the single layer does. v is its spectral antiderivative, less the
         zero mode (the flux) and the Nyquist mode, and f' = (df/dt) / gamma'.
         data holds f and f' by column; the sums take the weights
-        w = gamma'(t_j) 2 pi / N times (1, f, f').
+        w = gamma'(t_j) 2 pi / N times (1, f, f'), and a contiguous copy of
+        the first two columns for the values alone.
         """
         if "cauchy" not in self._cont:
             dtn = self.dtn
@@ -298,16 +328,21 @@ class SteklovEigenpair:
             dz = _complex(fr.velocity)
             data = np.stack([f, np.fft.ifft(1j * k * np.fft.fft(f)) / dz], axis=1)
             w = dz[:, None] * (TWO_PI / N)
-            self._cont["cauchy"] = (_complex(fr.point), w * np.c_[np.ones(N), data], data)
+            wd = w * np.c_[np.ones(N), data]
+            self._cont["cauchy"] = (_complex(fr.point), wd, wd[:, :2].copy(), data)
         return self._cont["cauchy"]
 
-    def _cauchy_eval(self, x):
+    def _cauchy_eval(self, x, gradient=True):
         """Value and Cartesian gradient of u = Re f at points x inside the
-        curve: f(z) = sum w f / (zeta - z) / sum w / (zeta - z), and f' alike
-        with the same denominator; a point on a node reads that node's data."""
-        nodes, wd, data = self._cauchy()
+        curve, or with gradient=False the value alone: f(z) = sum w f /
+        (zeta - z) / sum w / (zeta - z), and f' alike with the same
+        denominator; a point on a node reads that node's data. The values
+        alone sum two columns of weights, not three."""
+        nodes, wd, wd_values, data = self._cauchy()
+        if not gradient:
+            wd, data = wd_values, data[:, :1]
         z = _complex(x)
-        out = np.empty((len(z), 2), dtype=complex)
+        out = np.empty((len(z), wd.shape[1] - 1), dtype=complex)
         rows = max(1, _BLOCK_BUDGET // len(nodes))
         for start in range(0, len(z), rows):
             d = nodes - z[start:start + rows, None]
@@ -318,6 +353,8 @@ class SteklovEigenpair:
             hit = np.flatnonzero(~np.isfinite(sums[:, 0]))
             block[hit] = data[np.argmin(np.abs(d[hit]), axis=1)]
             out[start:start + rows] = block
+        if not gradient:
+            return out[:, 0].real
         grad = np.stack([out[:, 1].real, -out[:, 1].imag], axis=1)
         return out[:, 0].real, grad
 
@@ -379,7 +416,8 @@ class SteklovEigenpair:
         """u, or with gradient the pair (u, grad u), at points x inside the
         curve: the certified polynomial of `_poly`, u = Re p and
         grad u = (Re p', -Im p'), or else the Cauchy formula of `_cauchy`,
-        in blocks of _EVAL_CHUNK points.
+        in blocks of _EVAL_CHUNK points. Without gradient neither p' nor the
+        Cauchy sums of f' are formed, and u is the same to the bit.
 
         Precondition: every point lies inside; nothing checks it, as there
         is no inside test and no projection. A point a round-off outside, as
@@ -393,8 +431,10 @@ class SteklovEigenpair:
         grads = np.empty((len(x), 2))
         for start in range(0, len(x), _EVAL_CHUNK):
             sl = slice(start, start + _EVAL_CHUNK)
-            if fit is None:
+            if fit is None and gradient:
                 vals[sl], grads[sl] = self._cauchy_eval(x[sl])
+            elif fit is None:
+                vals[sl] = self._cauchy_eval(x[sl], gradient=False)
             elif gradient:
                 p, dp = _horner(fit, _complex(x[sl]))
                 vals[sl] = p.real
@@ -603,18 +643,22 @@ def solve_spectrum(dtn, count):
     to tridiagonal form. Residuals max|L f - lambda f| and densities are
     computed for all pairs at once.
     """
-    count = int(count)
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"eigenpair count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"need at least one eigenpair, got count = {count}")
     if count > dtn.N // 4:
         raise ValueError("requested more eigenpairs than the grid resolves (N/4)")
+    # symmetrized in place (A + A^T is exactly symmetric); eigh does not
+    # overwrite it, as a grown subset reads it again
     A = dtn.symmetrized()
-    As = 0.5 * (A + A.T)
+    A += A.T
+    A *= 0.5
     extra = 2
     while True:
         m = min(count + extra, dtn.N)
         try:
-            evals, evecs = scipy.linalg.eigh(As, subset_by_index=[0, m - 1])
+            evals, evecs = scipy.linalg.eigh(A, subset_by_index=[0, m - 1])
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover
             raise SolverError(f"dense eigensolver failed: {exc}") from exc
         if m == dtn.N or np.any(_cluster_starts(evals)[count - 1:]):

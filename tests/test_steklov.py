@@ -64,6 +64,32 @@ def layer_reference(pair, x, factor):
     return u, g
 
 
+def dense_dtn_reference(curve, N):
+    """L = (I/2 + K') S^-1 from the dense assembly of S and K': the (N, N, 2)
+    coordinate differences, the smooth remainder of the log kernel as one
+    N x N table and the exact log circulant as another, as `build_dtn`
+    once built them; a reference independent of its in-place assembly."""
+    t = np.linspace(0.0, 2 * np.pi, N, endpoint=False)
+    f = curve.frame(t)
+    R = 2.0 * curve.diameter
+    diff = f.point[:, None, :] - f.point[None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    np.fill_diagonal(dist, 1.0)
+    sin_half = np.abs(2.0 * np.sin(0.5 * (t[:, None] - t[None, :])))
+    np.fill_diagonal(sin_half, 1.0)
+    Ks = -np.log(dist / sin_half) / (2 * np.pi) + np.log(R) / (2 * np.pi)
+    np.fill_diagonal(Ks, -np.log(f.speed) / (2 * np.pi) + np.log(R) / (2 * np.pi))
+    m = np.fft.fftfreq(N, 1.0 / N)
+    symbol = np.divide(0.5, np.abs(m), out=np.zeros(N), where=m != 0)
+    C = scipy.linalg.circulant(np.real(np.fft.ifft(symbol)))
+    S = (C + (2 * np.pi / N) * Ks) * f.speed[None, :]
+    dots = np.einsum("ijk,ik->ij", diff, f.nu)
+    Kp = -dots / dist**2 / (2 * np.pi)
+    np.fill_diagonal(Kp, -f.kappa / (4 * np.pi))
+    Kp = Kp * f.speed[None, :] * (2 * np.pi / N) + 0.5 * np.eye(N)
+    return np.linalg.solve(S.T, Kp.T).T
+
+
 def disk_exact_eigenvalues(count):
     vals = [0.0]
     k = 1
@@ -103,6 +129,44 @@ class TestDtn:
         dtn = build_dtn(ellipse_curve, 256)
         A = dtn.symmetrized()
         assert np.max(np.abs(A - A.T)) < 1e-9
+
+    @pytest.mark.parametrize("N", [128.9, 256.0, "256", None])
+    def test_non_integer_node_count_rejected(self, disk_curve, N):
+        with pytest.raises(ValueError, match="integer"):
+            build_dtn(disk_curve, N)
+
+    def test_numpy_integer_node_count(self, disk_curve):
+        dtn = build_dtn(disk_curve, np.int64(128))
+        assert type(dtn.N) is int and dtn.L.shape == (128, 128)
+
+    @pytest.mark.parametrize(
+        "spec", ["disk", "ellipse(2,1)", "perturbed_disk(0.2,5)"]
+    )
+    def test_matches_dense_assembly(self, spec):
+        curve = geometry.builtin_curve(spec)
+        dtn = build_dtn(curve, 256)
+        ref = dense_dtn_reference(curve, 256)
+        assert np.max(np.abs(dtn.L - ref)) <= 1e-12 * np.max(np.abs(ref))
+        sqw = np.sqrt(dtn.weights)
+        A = ref * (sqw[:, None] / sqw[None, :])
+        want = scipy.linalg.eigvalsh(0.5 * (A + A.T), subset_by_index=[0, 39])
+        got = solve_spectrum(dtn, 40).eigenvalues
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1.0))
+
+    def test_assembly_memory_bounded(self, ellipse_curve):
+        # the dense assembly peaked at 12 N^2 doubles: the (N, N, 2)
+        # differences, their norm, two sine and log tables, the circulant,
+        # S and K'; in place it holds dx, dy, dist^2 and dy^2
+        import tracemalloc
+
+        N = 1024
+        tracemalloc.start()
+        try:
+            build_dtn(ellipse_curve, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * N**2
 
 
 class TestSpectrum:
@@ -200,6 +264,29 @@ class TestSpectrum:
             assert abs(pair.residual - resid) <= 1e-12 * scale
             sigma = scipy.linalg.lu_solve(dtn._S_lu, f)
             assert np.max(np.abs(pair.density - sigma)) <= 5e-12 * np.max(np.abs(sigma))
+
+    @pytest.mark.parametrize("count", [3.7, 3.0, "3"])
+    def test_non_integer_count_rejected(self, disk_spectrum, count):
+        with pytest.raises(ValueError, match="integer"):
+            solve_spectrum(disk_spectrum.dtn, count)
+
+    def test_numpy_integer_count(self, disk_spectrum):
+        assert len(solve_spectrum(disk_spectrum.dtn, np.int64(3))) == 3
+
+    def test_eigensolve_memory_bounded(self, ellipse_curve):
+        # symmetrized in place, with eigh's Fortran-order copy: about 2.1
+        # N^2 doubles (3.1 with a separate symmetric part)
+        import tracemalloc
+
+        N = 1024
+        dtn = build_dtn(ellipse_curve, N)
+        tracemalloc.start()
+        try:
+            solve_spectrum(dtn, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * N**2
 
     def test_count_capped_by_resolution(self, disk_curve):
         dtn = build_dtn(disk_curve, 128)
@@ -742,6 +829,21 @@ class TestInsideRouting:
         assert np.array_equal(pair.evaluate_inside(x, gradient=False), u)
         ref_u, ref_g = pair.evaluate_many(x)
         assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
+
+
+    @pytest.mark.parametrize("j", [7, 20])
+    def test_value_only_cauchy_sums_are_bit_identical(self, j, rough_spectrum):
+        # values alone sum two columns of weights, (1, f), in place of three;
+        # the GEMM's first two columns do not change, a node hit included
+        pair = rough_spectrum[j]
+        assert pair._poly() is None
+        x = interior_points(pair.curve, 0.0, steklov._EVAL_CHUNK + 100, j)
+        nodes = pair._cauchy()[0]
+        x[:2] = np.c_[nodes[[3, 300]].real, nodes[[3, 300]].imag]
+        u, _ = pair._cauchy_eval(x)
+        assert np.array_equal(pair._cauchy_eval(x, gradient=False), u)
+        assert np.array_equal(pair.evaluate_inside(x, gradient=False), u)
+        assert u[0] == pair.trace[3] and u[1] == pair.trace[300]
 
 
 class TestInteriorBound:
