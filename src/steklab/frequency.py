@@ -25,6 +25,7 @@ TWO_PI = 2.0 * np.pi
 
 _QUAD_RTOL = 1e-11
 _H_FLOOR = 1e-280
+_POLAR_POINTS = 2**15  # quadrature points per center block of _polar_integral
 
 
 # -- fields -----------------------------------------------------------------------
@@ -154,25 +155,38 @@ def _gauss(n):
 
 
 def _polar_integral(integrand, center, theta, extent, n_r):
-    """Integral of integrand over {center + rho (cos t, sin t) : t in theta,
-    0 <= rho <= extent}, where extent is a scalar or one radius per ray.
+    """Integral of integrand over {c + rho (cos t, sin t) : t in theta,
+    0 <= rho <= extent} about each center c.
 
-    Each ray carries n_r Gauss-Legendre nodes in rho and the angular weight
-    2 pi / len(theta). integrand maps (P, 2) points to P values; rays of
-    zero extent are not evaluated.
+    center is one point (2,), giving a float, or C points (C, 2), giving C
+    integrals; extent is a scalar, one radius per ray, or one row of those
+    per center. Each ray carries n_r Gauss-Legendre nodes in rho and the
+    angular weight 2 pi / len(theta). integrand maps (P, 2) points to P
+    values; rays of zero extent are not evaluated. Centers go to the
+    integrand in blocks of at most _POLAR_POINTS quadrature points (one
+    center when it has more), and each center's integral is the sum of its
+    own row, so it does not depend on the blocks.
     """
+    center = np.asarray(center, dtype=float)
+    centers = np.atleast_2d(center)
+    C, n = len(centers), len(theta)
     nodes, wts = _gauss(n_r)
-    extent = np.broadcast_to(np.asarray(extent, dtype=float), theta.shape)
-    rho = (0.5 * extent * (nodes[:, None] + 1.0)).reshape(-1)  # ray index fastest
-    w = rho * (TWO_PI / len(theta)) * (0.5 * extent * wts[:, None]).reshape(-1)
-    keep = rho > 0
-    if not np.any(keep):
-        return 0.0
+    extent = np.broadcast_to(np.asarray(extent, dtype=float), (C, n))
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = center + rho[:, None] * np.tile(dirs, (n_r, 1))
-    vals = np.zeros(len(rho))
-    vals[keep] = integrand(pts[keep])
-    return float(np.sum(vals * w))
+    step = max(1, _POLAR_POINTS // (n_r * n))
+    out = np.zeros(C)
+    for lo in range(0, C, step):
+        # (centers, nodes, rays): per center, ray index fastest
+        ext = extent[lo:lo + step, None, :]
+        rho = 0.5 * ext * (nodes[:, None] + 1.0)
+        w = rho * (TWO_PI / n) * (0.5 * ext * wts[:, None])
+        keep = rho > 0
+        vals = np.zeros(rho.shape)
+        if keep.any():
+            pts = centers[lo:lo + step, None, None] + rho[..., None] * dirs
+            vals[keep] = integrand(pts[keep])
+        out[lo:lo + step] = np.sum((vals * w).reshape(len(ext), -1), axis=1)
+    return float(out[0]) if center.ndim == 1 else out
 
 
 def _check_radius(r):

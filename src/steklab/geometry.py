@@ -23,6 +23,7 @@ from .errors import (
 
 _REGULARITY_TOL = 1e-12
 _PROBE = 8192  # curve samples that locate ball edges, star angles and arclength
+_PROBE_BLOCK = 64  # consecutive probe segments per row of the probe block table
 _GRID = 1024  # curve samples of the checks' frame and the foot-point seeds
 
 
@@ -53,6 +54,11 @@ class BoundaryCurve:
     probe_t, the _PROBE equispaced parameters 2 pi j / _PROBE, and
     probe_points, gamma at those parameters, shape (_PROBE, 2). A point
     within round_off = 1e-12 max(diameter, 1) of the curve counts as on it.
+    probe_chord is the longest probe chord |gamma(t_j+1) - gamma(t_j)|, and
+    probe_blocks, shape (_PROBE / _PROBE_BLOCK, 3), holds for each run of
+    _PROBE_BLOCK consecutive probe segments a bounding circle (x, y, radius)
+    of its nodes, the radius padded by probe_chord, so that the circle holds
+    the arcs too: the ray kernel proposes segments block by block.
 
     The grid_size samples gamma(t_i) give the checks' frame, the KD-tree that
     seeds the foot-point Newton solve of nearest_point_many, and a polygon
@@ -109,8 +115,14 @@ class BoundaryCurve:
         self.probe_t = np.linspace(0.0, 2 * np.pi, _PROBE, endpoint=False)
         g, v, a = self._series(self.probe_t, 0, 1, 2)
         self.probe_points = g.copy()  # a view would keep v and a alive
-        self.probe_t.flags.writeable = False
-        self.probe_points.flags.writeable = False
+        nodes = np.append(g, g[:1], axis=0)
+        self.probe_chord = float(np.max(np.linalg.norm(np.diff(nodes, axis=0), axis=1)))
+        runs = nodes[np.arange(0, _PROBE, _PROBE_BLOCK)[:, None] + np.arange(_PROBE_BLOCK + 1)]
+        mid = runs.mean(axis=1)
+        radius = np.linalg.norm(runs - mid[:, None], axis=2).max(axis=1) + self.probe_chord
+        self.probe_blocks = np.column_stack([mid, radius])
+        for table in (self.probe_t, self.probe_points, self.probe_blocks):
+            table.flags.writeable = False
 
         self.max_abs_curvature = float(np.max(np.abs(f.kappa)))
         self._delta_max = None

@@ -301,94 +301,168 @@ def solid_mass_v(vfield, center, r):
     )
 
 
-def _ray_extents(curve, center, theta, r):
-    """First exit from the domain of each ray center + rho (cos theta,
-    sin theta), capped at r, or 0 for a ray that starts outside.
+def _cross(d, p):
+    return d[:, 0] * p[:, 1] - d[:, 1] * p[:, 0]
 
-    theta is ascending and spans less than 2 pi. A ray crosses the curve
-    where g(t) = d x (gamma(t) - center) changes sign, and the crossing is
-    an exit when g rises through it (d . nu > 0). The angle of each probe
-    point about the center proposes the rays that may cross each probe
-    segment, g on the segment's two nodes (one value per node, shared by
-    its two segments) confirms them, and bracketed Newton on g, with
-    g' = d x gamma', refines each crossing until its last step is at float
-    resolution (_roots with tol = 0). Crossings within curve.round_off of
-    the center are dropped, so a ray from a center on the curve takes its
-    side from its first crossing beyond that floor; a ray with none lies
-    outside. Such a center's own crossing and a near-tangent ray's exit
-    within the same probe segment make no sign change, so that ray, whose
-    extent is below the segment's length, reads 0.
+
+def _ray_brackets(curve, centers, theta, dirs, sel, near, band):
+    """Sign-change brackets of g = d x (gamma - c) for the rays of
+    _ray_extents, with d = dirs[ray]: (q, seg, ga, gb), where q = center *
+    len(theta) + ray and ga, gb are g at the two nodes of probe segment seg.
+    Each segment of a selected block (sel, per center and block) is proposed
+    for the rays within the angle it sweeps about the center, padded; a
+    block that is selected but not near serves only the rays in the tangent
+    band (band, per center and ray)."""
+    ci, blk = np.nonzero(sel)
+    n, m = len(theta), len(curve.probe_t)
+    size = m // len(curve.probe_blocks)  # probe segments per block
+    node = (blk[:, None] * size + np.arange(size + 1)) % m
+    pts = curve.probe_points[node] - centers[ci, None]
+    phi = np.arctan2(pts[..., 1], pts[..., 0])
+    sweep = ((phi[:, 1:] - phi[:, :-1] + np.pi) % TWO_PI - np.pi).ravel()
+    phi = phi[:, :-1].ravel()
+    lo = (np.minimum(phi, phi + sweep) - _ANGLE_PAD - theta[0]) % TWO_PI + theta[0]
+    wrapped = np.concatenate([theta, theta + TWO_PI])
+    first = np.searchsorted(wrapped, lo)
+    cnt = np.searchsorted(wrapped, lo + np.abs(sweep) + 2 * _ANGLE_PAD, "right") - first
+    slot = np.repeat(np.arange(len(phi)), cnt)
+    ray = (np.arange(len(slot)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)) % n
+    s, k = np.divmod(slot, size)
+    keep = near[ci[s], blk[s]] | band[ci[s], ray]
+    s, k, ray = s[keep], k[keep], ray[keep]
+    d = dirs[ray]
+    ga = _cross(d, pts[s, k])
+    gb = _cross(d, pts[s, k + 1])
+    keep = (ga < 0) != (gb < 0)
+    s, k = s[keep], k[keep]
+    return ci[s] * n + ray[keep], node[s, k], ga[keep], gb[keep]
+
+
+def _ray_extents(curve, center, theta, r, t=None):
+    """First exit from the domain of each ray c + rho (cos theta, sin theta)
+    from each center c, capped at r, or 0 for a ray that starts outside.
+
+    center is one point (2,), giving (n,) extents, or C points (C, 2),
+    giving (C, n); theta is ascending and spans less than 2 pi. One
+    proposal, one _roots call and one decision serve every center.
+
+    A ray crosses the curve where g(t) = d x (gamma(t) - c) changes sign,
+    and the crossing is an exit when g rises through it (d . nu > 0). The
+    blocks of curve.probe_blocks (runs of probe segments, each in a circle
+    padded by the longest probe chord, pad) that a center may reach are
+    selected; the angle of their probe points about the center proposes the
+    rays that may cross each of their segments, g on the segment's two nodes
+    confirms them, and bracketed Newton on g, with g' = d x gamma', refines
+    each crossing until its last step is at float resolution (_roots with
+    tol = 0). Crossings within curve.round_off of the center are dropped.
+
+    Without t every block is selected, and the first crossing of a ray
+    beyond that floor decides its side; a ray with none lies outside. So a
+    ray from a center on the curve whose exit lies in the center's own probe
+    segment, where the two crossings make no sign change, reads 0.
+    t, one curve parameter per center with |gamma(t) - c| <= curve.round_off
+    (else ValueError), selects only the blocks within r + pad of c, and the
+    crossings in the others lie beyond r + pad. The first crossing beyond
+    the floor decides as above when its rho <= r + pad; a ray with none
+    takes its side from d . nu(t): extent r if d . nu < 0, else 0. A ray in
+    the tangent band |d . nu| < 2 max|kappa| pad may have its exit hidden in
+    the center's own segment, so it also proposes every block whose circle
+    it meets, and it reads what it reads without t. With r = inf every
+    block is selected either way.
+
     A center off the curve but nearer to it than a probe segment's sagitta
     (7.4e-8 on the unit disk) sees that segment's arc sweep the long way
     round, which the proposal misses, so its rays that exit there read 0.
     """
     center = np.asarray(center, dtype=float)
+    centers = np.atleast_2d(center)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    rel = curve.probe_points - center
-    m, n = len(rel), len(theta)
+    C, n, m = len(centers), len(theta), len(curve.probe_t)
+    pad = curve.probe_chord
+    inward = band = np.zeros((C, n), dtype=bool)
+    reach = np.inf
+    if t is not None:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.shape != (C,):
+            raise ValueError(f"need one curve parameter per center, got {t.shape}")
+        f = curve.frame(t)
+        if not np.all(np.linalg.norm(f.point - centers, axis=1) <= curve.round_off):
+            raise ValueError("a center is not gamma(t) of its parameter t")
+        dn = f.nu @ dirs.T
+        band = np.abs(dn) < 2.0 * curve.max_abs_curvature * pad
+        inward = (dn < 0) & ~band
+        reach = r + pad
 
-    # rays within the angle swept by each segment i -> i + 1, padded
-    phi = np.arctan2(rel[:, 1], rel[:, 0])
-    sweep = (np.roll(phi, -1) - phi + np.pi) % TWO_PI - np.pi
-    lo = (np.minimum(phi, phi + sweep) - _ANGLE_PAD - theta[0]) % TWO_PI + theta[0]
-    wrapped = np.concatenate([theta, theta + TWO_PI])
-    first = np.searchsorted(wrapped, lo)
-    cnt = np.searchsorted(wrapped, lo + np.abs(sweep) + 2 * _ANGLE_PAD, "right") - first
-    seg = np.repeat(np.arange(m), cnt)
-    ray = (np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)) % n
-
-    def cross(d, p):
-        return d[:, 0] * p[:, 1] - d[:, 1] * p[:, 0]
-
-    d = dirs[ray]
-    ga = cross(d, rel[seg])
-    gb = cross(d, rel[(seg + 1) % m])
-    keep = (ga < 0) != (gb < 0)
-    seg, ray, d, ga, gb = seg[keep], ray[keep], d[keep], ga[keep], gb[keep]
+    # blocks within reach of each center, and those a tangent-band ray meets
+    rel = curve.probe_blocks[:, :2] - centers[:, None]
+    radius = curve.probe_blocks[:, 2]
+    near = np.linalg.norm(rel, axis=2) - radius <= reach
+    sel = near.copy()
+    bc, bj = np.divmod(np.flatnonzero(band), n)
+    p, u = rel[bc], dirs[bj, None]
+    along = p[..., 0] * u[..., 0] + p[..., 1] * u[..., 1]
+    perp = np.abs(p[..., 0] * u[..., 1] - p[..., 1] * u[..., 0])
+    np.logical_or.at(sel, bc, (along >= 0) & (perp <= radius))
+    q, seg, ga, gb = _ray_brackets(curve, centers, theta, dirs, sel, near, band)
+    ray = q % n
+    c, d = centers[q // n], dirs[ray]
 
     def gd(t, i):
         p, v = curve._series(t, 0, 1)
-        return cross(d[i], p - center), cross(d[i], v)
+        return _cross(d[i], p - c[i]), _cross(d[i], v)
 
-    t = _roots(gd, curve.probe_t[seg], curve.probe_t[seg] + TWO_PI / m, ga, gb, 0.0)
-    rho = np.einsum("ij,ij->i", curve.point(t) - center, d)
+    tr = _roots(gd, curve.probe_t[seg], curve.probe_t[seg] + TWO_PI / m, ga, gb, 0.0)
+    rho = np.einsum("ij,ij->i", curve.point(tr) - c, d)
 
-    # the first crossing of each ray beyond the floor decides its extent
-    beyond = rho > curve.round_off
-    ray, rho, leaves = ray[beyond], rho[beyond], ga[beyond] < 0
-    order = np.lexsort((rho, ray))
-    head = order[np.unique(ray[order], return_index=True)[1]]
-    extent = np.zeros(n)
-    extent[ray[head]] = np.where(leaves[head], np.minimum(rho[head], r), 0.0)
-    return extent
+    # the first crossing of each ray beyond the floor, and within reach
+    # unless the ray lies in the tangent band, decides its extent
+    decides = (rho > curve.round_off) & ((rho <= reach) | band.ravel()[q])
+    q, rho, leaves = q[decides], rho[decides], ga[decides] < 0
+    order = np.lexsort((rho, q))
+    head = order[np.unique(q[order], return_index=True)[1]]
+    extent = np.where(inward, r, 0.0).ravel()
+    extent[q[head]] = np.where(leaves[head], np.minimum(rho[head], r), 0.0)
+    return extent.reshape(C, n)[0] if center.ndim == 1 else extent.reshape(C, n)
 
 
-def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
+def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256, t=None):
     """Integral of u^2 over B(center, r) intersected with the domain.
 
-    Polar grid about the center, with n_theta rays from angle 0. Each ray
-    runs to its first exit from the domain, capped at r, so a ray that
-    leaves and re-enters the ball's part of a non-convex domain stops at
-    the exit. The center may lie on the curve, within curve.round_off =
-    1e-12 max(diameter, 1) of it: a ray from there is inside when its first
-    crossing of the curve beyond that floor is an exit (d . nu > 0), and a
-    ray that leaves at once has extent 0 and is not evaluated.
+    center is one point, giving a float, or C points (C, 2), giving C
+    masses from one ray pass (_ray_extents) and one polar quadrature
+    (_polar_integral, in center blocks of bounded size). Polar grid about
+    each center, with n_theta rays from angle 0. Each ray runs to its first
+    exit from the domain, capped at r, so a ray that leaves and re-enters
+    the ball's part of a non-convex domain stops at the exit. The center may
+    lie on the curve, within curve.round_off = 1e-12 max(diameter, 1) of
+    it: a ray from there is inside when its first crossing of the curve
+    beyond that floor is an exit (d . nu > 0), and a ray that leaves at once
+    has extent 0 and is not evaluated.
+
+    t, optional, is the curve parameter of each center on the curve
+    (ValueError unless |gamma(t) - center| <= curve.round_off for each and
+    there is one per center). With it the ray pass proposes only the probe
+    blocks within reach of the ball, and the tangent-band rays read what
+    they read without it; see _ray_extents.
 
     The Gauss points lie before their rays' first exits, so u is read by
     `evaluate_inside`, values only, with no inside test (see there for a
     near-tangent ray whose computed exit is a round-off outside).
 
-    Raises OutOfDomainError when no ray has a positive extent, as from a
-    center outside the domain by more than the floor, and ValueError unless
-    r is positive and finite.
+    Raises OutOfDomainError when no ray of a center has a positive extent,
+    as from a center outside the domain by more than the floor, and
+    ValueError unless r is positive and finite.
     """
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    extent = _ray_extents(pair.curve, center, theta, r)
-    if not extent.any():
-        raise OutOfDomainError(f"ball center {center} lies outside the domain")
+    extent = _ray_extents(pair.curve, center, theta, r, t)
+    outside = ~np.atleast_2d(extent).any(axis=1)
+    if outside.any():
+        raise OutOfDomainError(
+            f"ball center {np.atleast_2d(center)[outside][0]} lies outside the domain"
+        )
     return _polar_integral(
         lambda p: pair.evaluate_inside(p, gradient=False) ** 2,
         center, theta, extent, n_r,
@@ -544,7 +618,16 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
     carries the largest share of the squared mass of the extension. Net
     masses within 1e-12 (relative) of the largest tie, and the first of
     them in net order wins. Raises ValueError unless rho is positive and
-    below the tube half-width."""
+    below the tube half-width.
+
+    The whole net is one clipped_ball_mass call with the net's curve
+    parameters as t: one ray pass, in which each ball proposes only the
+    probe blocks within its reach and the tangent-band rays every block
+    they meet (see _ray_extents), and one polar quadrature, whose Gauss
+    points go to evaluate_inside in center blocks of bounded size. Each
+    mass is that of a call for its ball alone without t, up to how the
+    curve series rounds in batches of another size (not at all on the
+    built-in disk and ellipse)."""
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError(f"net ball radius must be positive and finite, got {rho}")
     curve = pair.curve
@@ -552,9 +635,7 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
         raise ValueError("net ball radius must stay below the tube half-width")
     t_net = boundary_net(curve, rho / 2.0)
     pts = curve.point(t_net)
-    masses = np.array(
-        [clipped_ball_mass(pair, p, rho, n_r=n_r, n_theta=n_theta) for p in pts]
-    )
+    masses = clipped_ball_mass(pair, pts, rho, n_r=n_r, n_theta=n_theta, t=t_net)
     # the first net point within 1e-12 of the largest mass, so round-off
     # cannot pick among masses that tie (the disk's rotational symmetry)
     best = int(np.argmax(masses >= (1.0 - 1e-12) * np.max(masses)))

@@ -368,6 +368,117 @@ class TestRayExtents:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+BUILTIN_CURVES = ["disk", "ellipse(2,1)", "perturbed_disk(0.1,3)", "perturbed_disk(0.2,5)"]
+
+
+def net_tolerance(spec):
+    """Largest difference allowed between the extents of one batch of rays
+    and another: the curve series of the perturbed disks rounds differently
+    in the last bits when the batch's size changes."""
+    return 0.0 if spec in ("disk", "ellipse(2,1)") else 1e-13
+
+
+class TestNetRayPass:
+    """A net's rays in one pass with the curve parameters t of its centers,
+    which selects only the probe blocks within reach, against the
+    all-blocks pass without t."""
+
+    @pytest.mark.parametrize("spec", BUILTIN_CURVES)
+    @pytest.mark.parametrize("r,spacing", [(0.3, 0.15), (0.1, 0.05)])
+    @pytest.mark.parametrize("n", [96, 256])
+    def test_t_matches_the_all_blocks_path(self, spec, r, spacing, n):
+        curve = geometry.builtin_curve(spec)
+        t = boundary_net(curve, spacing)
+        centers = curve.point(t)
+        theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        got = _ray_extents(curve, centers, theta, r, t=t)
+        want = _ray_extents(curve, centers, theta, r)
+        assert got.shape == want.shape == (len(t), n)
+        assert np.max(np.abs(got - want)) <= net_tolerance(spec)
+
+    @pytest.mark.parametrize("spec", BUILTIN_CURVES)
+    def test_near_tangent_inward_rays_match_the_all_blocks_path(self, spec):
+        # inward rays 1e-4, 3e-4 and 1e-3 rad from both tangent directions
+        # at each net point lie in the tangent band. Those whose exit hides
+        # in the center's own probe segment read 0 without t, and must not
+        # take extent r from the side of d . nu with it
+        curve = geometry.builtin_curve(spec)
+        t = boundary_net(curve, 0.15)
+        centers, f = curve.point(t), curve.frame(t)
+        eps = np.array([1e-4, 3e-4, 1e-3])
+        assert eps.max() < 2 * curve.max_abs_curvature * curve.probe_chord
+        tau = np.arctan2(f.T[:, 1], f.T[:, 0])
+        reads = []
+        for j in range(len(t)):
+            # T and -T, each turned toward -nu
+            theta = np.sort(np.concatenate([tau[j] + eps, tau[j] + np.pi - eps]) % (2 * np.pi))
+            want = _ray_extents(curve, centers[j], theta, 0.3)
+            got = _ray_extents(curve, centers[j], theta, 0.3, t=t[j])
+            assert np.max(np.abs(got - want)) <= net_tolerance(spec)
+            reads.append(want)
+        assert np.any(np.array(reads) == 0) and np.any(np.array(reads) > 0)
+
+    def test_t_must_match_each_center(self):
+        curve = geometry.ellipse(2.0, 1.0)
+        t = boundary_net(curve, 0.15)
+        centers = curve.point(t)
+        theta = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+        moved = t + 1e-9 * (np.arange(len(t)) == 5)  # gamma moves by about 1e-9
+        with pytest.raises(ValueError, match="not gamma"):
+            _ray_extents(curve, centers, theta, 0.3, t=moved)
+        with pytest.raises(ValueError, match="not gamma"):
+            clipped_ball_mass(UnitField(curve), centers, 0.3, n_r=20, n_theta=96, t=moved)
+        with pytest.raises(ValueError, match="not gamma"):
+            clipped_ball_mass(UnitField(curve), centers[0], 0.3, t=t[1])
+
+    def test_t_must_have_one_parameter_per_center(self):
+        curve = geometry.ellipse(2.0, 1.0)
+        t = boundary_net(curve, 0.15)
+        centers = curve.point(t)
+        theta = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+        with pytest.raises(ValueError, match="one curve parameter per center"):
+            _ray_extents(curve, centers, theta, 0.3, t=t[:-1])
+        with pytest.raises(ValueError, match="one curve parameter per center"):
+            clipped_ball_mass(UnitField(curve), centers, 0.3, t=t[:1])
+        with pytest.raises(ValueError, match="one curve parameter per center"):
+            clipped_ball_mass(UnitField(curve), centers[0], 0.3, t=t[:2])
+
+    @pytest.mark.parametrize("curve,j", [("disk", 9), ("ellipse", 7)])
+    def test_net_masses_equal_one_ball_at_a_time(
+        self, curve, j, disk_spectrum, ellipse_spectrum
+    ):
+        # one ray pass and center blocks of the polar quadrature give each
+        # ball, bit for bit, the mass of its own call without t
+        pair = {"disk": disk_spectrum, "ellipse": ellipse_spectrum}[curve][j]
+        t = boundary_net(pair.curve, 0.15)
+        centers = pair.curve.point(t)
+        got = clipped_ball_mass(pair, centers, 0.3, n_r=20, n_theta=96, t=t)
+        want = [clipped_ball_mass(pair, c, 0.3, n_r=20, n_theta=96) for c in centers]
+        assert np.array_equal(got, want)
+        rep = special_point_search(pair, 0.3, total=1.0, n_r=20, n_theta=96)
+        assert np.array_equal(rep.net_masses, want)
+
+    def test_search_memory_bounded(self, ellipse_spectrum):
+        # at rho = 0.1 and the default 48 x 256 polar grid the net's 194
+        # balls hold 2.4 million Gauss points, whose (P, 2) table alone
+        # would take 38 MB; centers go to evaluate_inside in blocks, and
+        # the peak is about 10 MiB at rho = 0.1 and 5 MiB at rho = 0.3
+        import tracemalloc
+
+        pair = ellipse_spectrum[7]
+        pair._poly()  # the fit is cached on the pair; build it outside
+        pair.curve.max_tube_halfwidth()
+        for rho, size in [(0.1, 194), (0.3, 65)]:
+            tracemalloc.start()
+            try:
+                rep = special_point_search(pair, rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.net_size == size
+            assert peak < 16 * 2**20
+
+
 @pytest.fixture
 def series_calls(monkeypatch):
     """Sizes of the BoundaryCurve._series calls made from here on."""
@@ -430,20 +541,18 @@ class TestRootKernel:
             assert len(series_calls) <= 8
 
     def test_ray_extents_curve_calls_over_a_net(self, series_calls):
-        # every net point of the ellipse, with its tangent rays (a double
-        # root at the center, where Newton converges linearly) and its own
-        # crossings at shallow angles (where round-off in g stops Newton):
-        # a few take more calls, none past twice bisection's step count
+        # every net point of the ellipse in one call, with its tangent rays
+        # (a double root at the center, where Newton converges linearly) and
+        # its own crossings at shallow angles (where round-off in g stops
+        # Newton): the brackets of all centers are refined together, so the
+        # whole net takes no more calls than twice bisection's step count
         curve = geometry.ellipse(2.0, 1.0)
-        counts = []
-        for t in boundary_net(curve, 0.15):
-            center = curve.point(np.array([t]))[0]
-            series_calls.clear()
-            _ray_extents(curve, center, self.THETA, 0.3)
-            counts.append(len(series_calls))
+        t = boundary_net(curve, 0.15)
+        centers = curve.point(t)
+        series_calls.clear()
+        _ray_extents(curve, centers, self.THETA, 0.3, t=t)
         bisection = np.log2(2 * np.pi / 8192 / np.finfo(float).eps)  # 41.7 steps
-        assert np.mean(counts) <= 7
-        assert max(counts) <= 2 * bisection
+        assert len(series_calls) <= 2 * bisection
 
     def test_ball_curve_edges_curve_calls(self, series_calls):
         # the 27 radii of a doubling profile from 0.005 to 0.5, edges to 1e-13
@@ -646,7 +755,8 @@ class TestSpecialPoint:
 
     def test_tied_masses_pick_the_first_net_point(self, disk_spectrum, monkeypatch):
         # masses equal to 1e-15 in shuffled noise, as rotation gives on the
-        # disk: the lowest tied index wins, whatever the noise's order
+        # disk: the lowest tied index wins, whatever the noise's order. The
+        # search asks for the whole net's masses in one call
         pair = disk_spectrum[9]
         n = len(boundary_net(pair.curve, 0.15))
         rng = np.random.default_rng(5)
@@ -654,9 +764,16 @@ class TestSpecialPoint:
         for _ in range(4):
             masses = rng.uniform(0.1, 0.5, n)
             masses[tied] = 1.0 + 1e-15 * rng.permutation(5)
-            it = iter(masses)
-            monkeypatch.setattr(nodal, "clipped_ball_mass", lambda *a, **k: next(it))
+            calls = []
+
+            def net_masses(pair, centers, rho, n_r, n_theta, t, masses=masses):
+                calls.append(len(centers))
+                assert np.array_equal(pair.curve.point(t), centers)
+                return masses
+
+            monkeypatch.setattr(nodal, "clipped_ball_mass", net_masses)
             rep = special_point_search(pair, 0.3, total=1.0)
+            assert calls == [n]
             assert rep.ball_mass == masses[tied[0]]
             assert np.array_equal(rep.best_point, pair.curve.point(
                 boundary_net(pair.curve, 0.15))[tied[0]])
