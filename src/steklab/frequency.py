@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InvalidCenterError, OutOfTubeError
-from .geometry import TubeNeighborhood
+from .geometry import TubeNeighborhood, norm2
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,7 +93,7 @@ class CoefficientField:
         if pairs is not None:
             i, j = pairs
             dA = np.abs(A[i] - A[j]).max(axis=(1, 2))
-            dist = np.linalg.norm(probes[i] - probes[j], axis=1)
+            dist = norm2(probes[i] - probes[j])
             good = dist > 1e-12
             if np.any(good):
                 gamma = float(np.max(dA[good] / dist[good]))

@@ -182,28 +182,24 @@ def max_doubling_exponent(pair, n_centers=8, radii_per_octave=4, octaves=3.0):
 
     Centers are spread uniformly in the boundary parameter; the radius range
     scales like 1/lambda so the sweep tracks the eigenfunction wavelength.
+    The radii are those of nodal.doubling_profile (nodal.doubling_radii),
+    and all centers and radii go in one nodal.boundary_mass call. A center
+    with no mass at the smallest radius, or whose exponents hold a NaN, is
+    skipped as degenerate; DegenerateCenterError if every center is.
     """
     if not (isinstance(n_centers, (int, np.integer)) and n_centers > 0):
         raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
     lam_eff = max(pair.eigenvalue, 1.0)
     r_max = min(0.5 * pair.curve.max_tube_halfwidth(), 1.0 / lam_eff)
     r_min = r_max / 2.0**octaves
+    radii = nodal.doubling_radii(r_min, r_max, radii_per_octave)
     centers = pair.curve.point(np.linspace(0.0, TWO_PI, n_centers, endpoint=False))
-    worst = -np.inf
-    for center in centers:
-        try:
-            rep = nodal.doubling_profile(
-                pair,
-                center,
-                r_min,
-                r_max,
-                mode="boundary",
-                steps_per_octave=radii_per_octave,
-            )
-        except DegenerateCenterError:
-            continue
-        if len(rep.exponents) and rep.max_exponent > worst:
-            worst = rep.max_exponent
+    masses = nodal.boundary_mass(pair, centers, radii)
+    masses = masses[~(masses[:, 0] <= 0)]
+    n, k = len(radii), radii_per_octave
+    peaks = np.max(np.log2(masses[:, k:] / masses[:, :max(n - k, 0)]), axis=1,
+                   initial=-np.inf)
+    worst = np.max(peaks[~np.isnan(peaks)], initial=-np.inf)
     if not np.isfinite(worst):
         raise DegenerateCenterError("all sweep centers were degenerate")
     return float(worst)

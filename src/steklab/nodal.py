@@ -6,8 +6,9 @@ trigonometric interpolant of the trace on a grid, each refined by bracketed
 Newton (_roots), the one root kernel that also finds the ball-curve edges
 and the ray exits below. Mass doubling ratios are measured
 both along the boundary (arclength integrals of u^2 over Euclidean balls
-intersected with the curve) and on solid balls, and a net search locates a
-boundary point whose small ball carries a fixed fraction of the total mass.
+intersected with the curve, any number of centers and radii in one pass)
+and on solid balls, and a net search locates a boundary point whose small
+ball carries a fixed fraction of the total mass.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .errors import (
     UndersampledError,
 )
 from .frequency import _disk_integral, _gauss, _polar_integral, _refine
+from .geometry import norm2
 
 TWO_PI = 2.0 * np.pi
 _ANGLE_PAD = 1e-6  # radians added to each side of a probe segment's sweep
 _EPS = np.finfo(float).eps
+_RAY_BLOCK = 2**13  # (center, ray) entries of one block of _ray_extents
 
 # -- root bracketing ------------------------------------------------------------------
 
@@ -226,55 +229,94 @@ def boundary_zeros(pair, samples=None, tol=1e-12, flag_rel=1e-9):
 
 
 def _ball_curve_intervals(curve, center, radii):
-    """Parameter intervals {t: |gamma(t) - center| < r} of every radius r,
-    as arrays (owner, a, b): interval k is (a[k], b[k]) in the ball of
-    radius radii[owner[k]]. The edges of all radii are refined together by
-    bracketed Newton on |gamma - center| - r, whose derivative is
-    (gamma - center) . gamma' / |gamma - center|, each until its last step
-    is at most 1e-13."""
-    center = np.asarray(center, dtype=float)
-    tg = curve.probe_t
-    g = np.linalg.norm(curve.probe_points - center, axis=1) - radii[:, None]
-    inside = g < 0
-    row, col = np.nonzero(inside != np.roll(inside, -1, axis=1))
+    """Parameter intervals {t: |gamma(t) - c| < r} of every center c and
+    radius r, as arrays (owner, a, b): interval k is (a[k], b[k]) in the
+    ball about center owner[k] // R of radius radii[owner[k] % R], with
+    R = len(radii). center is one point (2,) or C points (C, 2); radii need
+    not be sorted. The intervals come in owner order, each owner's by
+    their first edge, one wrapping past 2 pi last.
+
+    The scan reads only the probe blocks (curve.probe_blocks) whose padded
+    circle meets a center's largest ball. A probe segment with node
+    distances d0, d1 from c crosses the sphere of radius r exactly when
+    min(d0, d1) < r <= max(d0, d1), the sign change of d - r < 0 between
+    its nodes, so a search in the sorted radii finds every radius it
+    crosses. The edges of all centers and radii are refined together by
+    bracketed Newton on |gamma - c| - r, whose derivative is
+    (gamma - c) . gamma' / |gamma - c|, each until its last step is at most
+    1e-13. A ball whose sphere crosses no segment holds the whole curve if
+    it holds gamma(0), else none of it."""
+    centers = np.atleast_2d(np.asarray(center, dtype=float))
+    R, m = len(radii), len(curve.probe_t)
+    size = m // len(curve.probe_blocks)  # probe segments per block
+    order = np.argsort(radii, kind="stable")
+    sorted_r = radii[order]
+    blocks = curve.probe_blocks
+    reach = norm2(blocks[:, :2] - centers[:, None]) - blocks[:, 2]
+    ci, blk = np.nonzero(reach < radii.max(initial=-np.inf))
+    node = (blk[:, None] * size + np.arange(size + 1)) % m
+    d = norm2(curve.probe_points[node] - centers[ci, None])
+    first = np.searchsorted(sorted_r, np.minimum(d[:, :-1], d[:, 1:]).ravel(), "right")
+    cnt = np.searchsorted(sorted_r, np.maximum(d[:, :-1], d[:, 1:]).ravel(), "right") - first
+    seg = np.repeat(np.arange(len(first)), cnt)
+    j = order[np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)]
+    # each center's segments come in probe order; a stable sort by owner
+    # keeps that order within each ball
+    owner = ci[seg // size] * R + j
+    by = np.argsort(owner, kind="stable")
+    owner, j = owner[by], j[by]
+    s, k = np.divmod(seg[by], size)
+    col = node[s, k]
+    ga, gb = d[s, k] - radii[j], d[s, k + 1] - radii[j]
+    c, rad = centers[owner // R], radii[j]
 
     def gd(t, i):
         p, v = curve._series(t, 0, 1)
-        p = p - center
-        dist = np.linalg.norm(p, axis=1)
-        return dist - radii[row[i]], np.einsum("ij,ij->i", p, v) / dist
+        p = p - c[i]
+        dist = norm2(p)
+        return dist - rad[i], np.einsum("ij,ij->i", p, v) / dist
 
-    edges = _roots(gd, tg[col], tg[col] + TWO_PI / len(tg), g[row, col],
-                   g[row, (col + 1) % len(tg)], 1e-13)
-    owner, lo, hi = [], [], []
-    for j in range(len(radii)):
-        e, c = edges[row == j], col[row == j]
-        if len(c) == 0:
-            e = [0.0, TWO_PI] if inside[j, 0] else []
-        elif inside[j, c[0]]:
-            # edges alternate; rotate so the list starts with an entry edge
-            e = np.append(e[1:], e[0] + TWO_PI)
-        owner += [j] * (len(e) // 2)
-        lo += list(e[0::2])
-        hi += list(e[1::2])
-    return np.array(owner, dtype=int), np.array(lo), np.array(hi)
+    edges = _roots(gd, curve.probe_t[col], curve.probe_t[col] + TWO_PI / m, ga, gb, 1e-13)
+    # edges alternate: each entry (outside at its segment's first node)
+    # runs to the next edge of its ball, past 2 pi for the ball's last edge
+    last = owner != np.append(owner[1:], -1)
+    nxt = np.arange(1, len(owner) + 1)
+    nxt[last] = np.flatnonzero(owner != np.append(-1, owner[:-1]))
+    entry = ga >= 0
+    hi = edges[nxt[entry]] + np.where(last[entry], TWO_PI, 0.0)
+    # balls that no segment crosses: the whole curve, or none of it
+    whole = (norm2(curve.probe_points[0] - centers)[:, None] < radii).ravel()
+    whole[owner] = False
+    whole = np.flatnonzero(whole)
+    owner = np.concatenate([owner[entry], whole])
+    by = np.argsort(owner, kind="stable")
+    a = np.concatenate([edges[entry], np.zeros(len(whole))])
+    b = np.concatenate([hi, np.full(len(whole), TWO_PI)])
+    return owner[by], a[by], b[by]
 
 
 def boundary_mass(pair, center, r):
     """Arclength integral of u^2 over the Euclidean ball of radius r about
     center, intersected with the boundary curve.
 
-    r is one radius or an array of them, giving one mass per radius. The
-    intervals of all radii are integrated together, one trace_at call per
-    refinement level on the intervals still open. Raises ValueError unless
-    every radius is positive (an infinite one holds the whole curve).
+    r is one radius or an array of them, giving one mass per radius.
+    center is one point (2,), giving a float or an array shaped like r, or
+    C points (C, 2), giving (C,) + r.shape masses. The intervals of all
+    centers and radii come from one ball-local probe scan and one root
+    refinement (_ball_curve_intervals), and are integrated together: one
+    trace_at call per refinement level on the intervals still open. Each
+    mass is, bit for bit, that of a call for its center alone. Raises
+    ValueError unless every radius is positive (an infinite one holds the
+    whole curve).
     """
     radii = np.asarray(r, dtype=float)
     if not np.all(radii > 0):
         raise ValueError(f"ball radii must be positive, got {r}")
+    center = np.asarray(center, dtype=float)
     curve = pair.curve
     owner, a, b = _ball_curve_intervals(curve, center, radii.reshape(-1))
-    masses = np.zeros(radii.size)
+    shape = (len(center),) + radii.shape if center.ndim == 2 else radii.shape
+    masses = np.zeros(int(np.prod(shape)))
     if len(owner):
 
         def quad(n, i):
@@ -286,9 +328,9 @@ def boundary_mass(pair, center, r):
             return half * np.sum(wts * f**2 * sp, axis=1)
 
         masses = np.bincount(
-            owner, _refine(quad, 32, 512, 1e-11), minlength=radii.size
+            owner, _refine(quad, 32, 512, 1e-11), minlength=masses.size
         )
-    return masses.reshape(radii.shape) if radii.ndim else float(masses[0])
+    return masses.reshape(shape) if shape else float(masses[0])
 
 
 # -- solid masses ----------------------------------------------------------------------
@@ -344,7 +386,10 @@ def _ray_extents(curve, center, theta, r, t=None):
 
     center is one point (2,), giving (n,) extents, or C points (C, 2),
     giving (C, n); theta is ascending and spans less than 2 pi. One
-    proposal, one _roots call and one decision serve every center.
+    proposal, one _roots call and one decision serve every center of a
+    block: centers go in blocks of at most _RAY_BLOCK (center, ray)
+    entries, so memory stays bounded for any net (the special-point nets
+    of up to 65 centers x 96 rays are one block).
 
     A ray crosses the curve where g(t) = d x (gamma(t) - c) changes sign,
     and the crossing is an exit when g rises through it (d . nu > 0). The
@@ -376,17 +421,25 @@ def _ray_extents(curve, center, theta, r, t=None):
     """
     center = np.asarray(center, dtype=float)
     centers = np.atleast_2d(center)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     C, n, m = len(centers), len(theta), len(curve.probe_t)
-    pad = curve.probe_chord
-    inward = band = np.zeros((C, n), dtype=bool)
-    reach = np.inf
     if t is not None:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.shape != (C,):
             raise ValueError(f"need one curve parameter per center, got {t.shape}")
+    rows = max(1, _RAY_BLOCK // n)
+    if C > rows:
+        return np.concatenate([
+            _ray_extents(curve, centers[i:i + rows], theta, r,
+                         None if t is None else t[i:i + rows])
+            for i in range(0, C, rows)
+        ])
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pad = curve.probe_chord
+    inward = band = np.zeros((C, n), dtype=bool)
+    reach = np.inf
+    if t is not None:
         f = curve.frame(t)
-        if not np.all(np.linalg.norm(f.point - centers, axis=1) <= curve.round_off):
+        if not np.all(norm2(f.point - centers) <= curve.round_off):
             raise ValueError("a center is not gamma(t) of its parameter t")
         dn = f.nu @ dirs.T
         band = np.abs(dn) < 2.0 * curve.max_abs_curvature * pad
@@ -396,7 +449,7 @@ def _ray_extents(curve, center, theta, r, t=None):
     # blocks within reach of each center, and those a tangent-band ray meets
     rel = curve.probe_blocks[:, :2] - centers[:, None]
     radius = curve.probe_blocks[:, 2]
-    near = np.linalg.norm(rel, axis=2) - radius <= reach
+    near = norm2(rel) - radius <= reach
     sel = near.copy()
     bc, bj = np.divmod(np.flatnonzero(band), n)
     p, u = rel[bc], dirs[bj, None]
@@ -430,14 +483,14 @@ def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256, t=None):
 
     center is one point, giving a float, or C points (C, 2), giving C
     masses from one ray pass (_ray_extents) and one polar quadrature
-    (_polar_integral, in center blocks of bounded size). Polar grid about
-    each center, with n_theta rays from angle 0. Each ray runs to its first
-    exit from the domain, capped at r, so a ray that leaves and re-enters
-    the ball's part of a non-convex domain stops at the exit. The center may
-    lie on the curve, within curve.round_off = 1e-12 max(diameter, 1) of
-    it: a ray from there is inside when its first crossing of the curve
-    beyond that floor is an exit (d . nu > 0), and a ray that leaves at once
-    has extent 0 and is not evaluated.
+    (_polar_integral), both in center blocks of bounded size. Polar grid
+    about each center, with n_theta rays from angle 0. Each ray runs to its
+    first exit from the domain, capped at r, so a ray that leaves and
+    re-enters the ball's part of a non-convex domain stops at the exit. The
+    center may lie on the curve, within curve.round_off = 1e-12
+    max(diameter, 1) of it: a ray from there is inside when its first
+    crossing of the curve beyond that floor is an exit (d . nu > 0), and a
+    ray that leaves at once has extent 0 and is not evaluated.
 
     t, optional, is the curve parameter of each center on the curve
     (ValueError unless |gamma(t) - center| <= curve.round_off for each and
@@ -536,25 +589,36 @@ class DoublingReport:
         )
 
 
-def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
-                     steps_per_octave=4):
-    """Mass-versus-radius sweep on a geometric grid containing exact doubles.
-
-    Boundary mode integrates u^2 over ball-curve intersections; solid mode
-    integrates v^2 over full balls (the transform field must be supplied).
-    """
+def doubling_radii(r_min, r_max, steps_per_octave=4):
+    """The geometric radius grid of a doubling sweep: r_min 2^(j/k) for
+    k = steps_per_octave, up to r_max, so that radius j + k doubles radius
+    j. Raises ValueError unless 0 < r_min < r_max < inf and k is a positive
+    integer."""
     if not 0 < r_min < r_max < np.inf:
         raise ValueError("need 0 < r_min < r_max < inf")
+    k = steps_per_octave
+    if not (isinstance(k, (int, np.integer)) and k > 0):
+        raise ValueError(f"steps_per_octave must be a positive integer, got {k!r}")
+    n = int(np.floor(k * np.log2(r_max / r_min))) + 1
+    return r_min * 2.0 ** (np.arange(n) / k)
+
+
+def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
+                     steps_per_octave=4):
+    """Mass-versus-radius sweep on a geometric grid containing exact doubles
+    (doubling_radii).
+
+    Boundary mode integrates u^2 over ball-curve intersections, all radii in
+    one boundary_mass call; solid mode integrates v^2 over full balls (the
+    transform field must be supplied).
+    """
+    radii = doubling_radii(r_min, r_max, steps_per_octave)
     if mode not in ("boundary", "solid"):
         raise ValueError("mode must be 'boundary' or 'solid'")
     if mode == "solid" and vfield is None:
         raise ValueError("solid mode needs the transformed field")
     center = np.asarray(center, dtype=float)
-    k = steps_per_octave
-    if not (isinstance(k, (int, np.integer)) and k > 0):
-        raise ValueError(f"steps_per_octave must be a positive integer, got {k!r}")
-    n = int(np.floor(k * np.log2(r_max / r_min))) + 1
-    radii = r_min * 2.0 ** (np.arange(n) / k)
+    n, k = len(radii), steps_per_octave
 
     if mode == "boundary":
         masses = boundary_mass(pair, center, radii)
@@ -563,17 +627,13 @@ def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
     if masses[0] <= 0:
         raise DegenerateCenterError("no mass at the smallest radius")
 
-    d_radii, expo = [], []
-    for j in range(n - k):
-        d_radii.append(radii[j])
-        expo.append(np.log2(masses[j + k] / masses[j]))
     return DoublingReport(
         center=center,
         mode=mode,
         radii=radii,
         masses=masses,
-        doubling_radii=np.array(d_radii),
-        exponents=np.array(expo),
+        doubling_radii=radii[:max(n - k, 0)],
+        exponents=np.log2(masses[k:] / masses[:max(n - k, 0)]),
     )
 
 
@@ -624,7 +684,8 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
     parameters as t: one ray pass, in which each ball proposes only the
     probe blocks within its reach and the tangent-band rays every block
     they meet (see _ray_extents), and one polar quadrature, whose Gauss
-    points go to evaluate_inside in center blocks of bounded size. Each
+    points go to evaluate_inside; both take the centers in blocks of
+    bounded size. Each
     mass is that of a call for its ball alone without t, up to how the
     curve series rounds in batches of another size (not at all on the
     built-in disk and ellipse)."""

@@ -202,14 +202,20 @@ class SteklovEigenpair:
     def trace_at(self, t, derivative=False):
         """Trigonometric interpolation of the boundary trace at parameters t;
         with derivative, the pair (trace, its t-derivative), the second from
-        ik times the modes in the same e^{ikt} product."""
-        t = np.asarray(t, dtype=float)
+        ik times the modes in the same e^{ikt} product. The values come
+        flattened, one per entry of t. The e^{ikt} table is built in row
+        blocks of at most _BLOCK_BUDGET (points, modes) entries, so memory
+        stays bounded for any number of points; each point reads what one
+        whole table gives it."""
+        t = np.asarray(t, dtype=float).ravel()
         kvec, fhat = self._trace_modes()
-        e = np.exp(1j * np.outer(t, kvec))
-        if not derivative:
-            return np.real(e @ fhat)
-        out = (e @ np.stack([fhat, 1j * kvec * fhat], axis=1)).real
-        return out[:, 0], out[:, 1]
+        coef = np.stack([fhat, 1j * kvec * fhat], axis=1) if derivative else fhat
+        out = np.empty(t.shape + coef.shape[1:])
+        rows = max(1, _BLOCK_BUDGET // max(len(kvec), 1))
+        for start in range(0, len(t), rows):
+            e = np.exp(1j * np.outer(t[start:start + rows], kvec))
+            out[start:start + rows] = (e @ coef).real
+        return (out[:, 0], out[:, 1]) if derivative else out
 
     # -- normal Taylor continuation ---------------------------------------------
 

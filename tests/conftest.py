@@ -32,6 +32,20 @@ def rng():
     return np.random.default_rng(42)
 
 
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Sizes of the BoundaryCurve._series calls made from here on."""
+    calls = []
+    series = geometry.BoundaryCurve._series
+
+    def counting(curve, t, *orders):
+        calls.append(np.size(t))
+        return series(curve, t, *orders)
+
+    monkeypatch.setattr(geometry.BoundaryCurve, "_series", counting)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter):
     try:
         from test_acceptance import VERDICTS

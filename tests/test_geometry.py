@@ -52,6 +52,20 @@ class TestFourierEval:
             c.probe_t[0] = 1.0
 
 
+@pytest.mark.parametrize("shape", [(1000, 2), (7, 40, 2), (2,)])
+def test_norm2_is_numpy_norm_bit_for_bit(shape):
+    # magnitudes from 1e-150 to 1e150 in each component, signs mixed, and
+    # components that are inf, -inf or NaN
+    rng = np.random.default_rng(3)
+    v = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-150, 150, size=shape)
+    flat = v.reshape(-1, 2)
+    flat[:6] = [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [np.inf, np.nan],
+                [0.0, -0.0], [-1e150, 1e150]][:len(flat)]
+    got = geometry.norm2(v)
+    assert got.shape == shape[:-1]
+    assert np.array_equal(got, np.linalg.norm(v, axis=-1), equal_nan=True)
+
+
 class TestBoundaryCurve:
     def test_disk_metrics(self):
         c = geometry.disk(2.0)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from steklab.errors import SolverError
+from steklab import nodal
+from steklab.errors import DegenerateCenterError, SolverError
+from steklab.steklov import SteklovEigenpair
 from steklab.lab import (
     ExperimentConfig,
     ScalingFit,
@@ -104,6 +106,106 @@ class TestScalingStudy:
         e = max_doubling_exponent(disk_spectrum[9], n_centers=4, octaves=2.0)
         # boundary mass exponents sit between 1 (extremum) and 3 (nodal point)
         assert 0.5 < e < 3.5
+
+
+def per_center_sweep(pair, n_centers=8, radii_per_octave=4, octaves=3.0):
+    """max_doubling_exponent as one doubling_profile per center: the loop
+    that the one-pass sweep replaced."""
+    lam_eff = max(pair.eigenvalue, 1.0)
+    r_max = min(0.5 * pair.curve.max_tube_halfwidth(), 1.0 / lam_eff)
+    r_min = r_max / 2.0**octaves
+    centers = pair.curve.point(np.linspace(0.0, 2 * np.pi, n_centers, endpoint=False))
+    worst = -np.inf
+    for center in centers:
+        try:
+            rep = nodal.doubling_profile(pair, center, r_min, r_max, mode="boundary",
+                                         steps_per_octave=radii_per_octave)
+        except DegenerateCenterError:
+            continue
+        if len(rep.exponents) and rep.max_exponent > worst:
+            worst = rep.max_exponent
+    if not np.isfinite(worst):
+        raise DegenerateCenterError("all sweep centers were degenerate")
+    return float(worst)
+
+
+def sweep_outcome(sweep, *args, **kwargs):
+    try:
+        return sweep(*args, **kwargs)
+    except (DegenerateCenterError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SWEEPS = [
+    dict(n_centers=6, octaves=2.5),
+    dict(n_centers=8),
+    dict(n_centers=3, radii_per_octave=2, octaves=1.7),
+    dict(n_centers=5, octaves=0.5),  # under one octave: no exponent at all
+    dict(n_centers=4, octaves=0.0),  # r_min = r_max
+    dict(n_centers=4, radii_per_octave=0),
+]
+
+
+class TestDoublingSweep:
+    @pytest.mark.parametrize("kwargs", SWEEPS)
+    @pytest.mark.parametrize("curve,j", [("disk", 9), ("disk", 20), ("ellipse", 7),
+                                         ("ellipse", 14)])
+    def test_equals_the_per_center_loop(self, curve, j, kwargs, disk_spectrum,
+                                        ellipse_spectrum):
+        pair = {"disk": disk_spectrum, "ellipse": ellipse_spectrum}[curve][j]
+        want = sweep_outcome(per_center_sweep, pair, **kwargs)
+        assert sweep_outcome(max_doubling_exponent, pair, **kwargs) == want
+
+    @pytest.mark.parametrize("bad", [[1], [0, 2, 5], [0, 1, 2, 3, 4, 5]])
+    def test_degenerate_centers_as_the_loop(self, bad, ellipse_spectrum, monkeypatch):
+        # centers given no mass at the smallest radius, or one NaN mass;
+        # every center bad leaves none
+        pair = ellipse_spectrum[7]
+        centers = pair.curve.point(np.linspace(0.0, 2 * np.pi, 6, endpoint=False))
+        mass = nodal.boundary_mass
+
+        def spoiled(pair, center, r):
+            out = mass(pair, center, r)
+            rows = np.atleast_2d(out)
+            for i, c in enumerate(np.atleast_2d(center)):
+                k = np.flatnonzero((centers == c).all(axis=1))
+                if len(k) and k[0] in bad:
+                    rows[i, 0 if k[0] % 2 else -1] = 0.0 if k[0] % 2 else np.nan
+            return out
+
+        monkeypatch.setattr(nodal, "boundary_mass", spoiled)
+        want = sweep_outcome(per_center_sweep, pair, n_centers=6, octaves=2.5)
+        assert sweep_outcome(max_doubling_exponent, pair, n_centers=6, octaves=2.5) == want
+        if len(bad) == 6:
+            assert want == (DegenerateCenterError, "all sweep centers were degenerate")
+        else:
+            assert type(want) is float
+
+    def test_one_pass(self, ellipse_spectrum, series_calls, monkeypatch):
+        # one root refinement for every edge of every center and radius, one
+        # trace_at call per refinement level 32 .. 512, and no curve series
+        # beyond the centers, the root iterations and the levels' speeds
+        refines, traces = [], []
+        roots, trace_at = nodal._roots, SteklovEigenpair.trace_at
+
+        def counting_roots(*args):
+            refines.append(len(args[1]))
+            return roots(*args)
+
+        def counting_trace_at(self, t):
+            traces.append(np.size(t))
+            return trace_at(self, t)
+
+        monkeypatch.setattr(nodal, "_roots", counting_roots)
+        monkeypatch.setattr(SteklovEigenpair, "trace_at", counting_trace_at)
+        pair = ellipse_spectrum[14]
+        pair.curve.max_tube_halfwidth()
+        series_calls.clear()
+        max_doubling_exponent(pair, n_centers=6, octaves=2.5)
+        levels = int(np.log2(512 / 32)) + 1
+        assert len(refines) == 1 and refines[0] >= 2 * 6 * 11
+        assert 1 <= len(traces) <= levels
+        assert len(series_calls) <= 1 + 6 + levels
 
 
 @pytest.fixture(scope="module")

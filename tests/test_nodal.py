@@ -177,12 +177,57 @@ BATCH_CASES = [
 ]
 
 
+MANY_CENTER_CURVES = [
+    "disk", "ellipse(2,1)", "ellipse(4,1)", "perturbed_disk(0.1,3)", "perturbed_disk(0.2,5)",
+]
+
+
 @pytest.fixture(scope="module")
 def batch_pairs():
     return {
         spec: solve_spectrum(build_dtn(geometry.builtin_curve(spec), 256), 10)[8]
-        for spec in {case[0] for case in BATCH_CASES}
+        for spec in {case[0] for case in BATCH_CASES} | set(MANY_CENTER_CURVES)
     }
+
+
+def full_table_intervals(curve, center, radii):
+    """The intervals of _ball_curve_intervals for one center from a
+    (radii, probe points) sign table over the whole curve and one interval
+    list per radius: the scan that the ball-local one replaced."""
+    tg = curve.probe_t
+    g = np.linalg.norm(curve.probe_points - center, axis=1) - radii[:, None]
+    inside = g < 0
+    row, col = np.nonzero(inside != np.roll(inside, -1, axis=1))
+
+    def gd(t, i):
+        p, v = curve._series(t, 0, 1)
+        p = p - center
+        dist = np.linalg.norm(p, axis=1)
+        return dist - radii[row[i]], np.einsum("ij,ij->i", p, v) / dist
+
+    edges = nodal._roots(gd, tg[col], tg[col] + 2 * np.pi / len(tg), g[row, col],
+                         g[row, (col + 1) % len(tg)], 1e-13)
+    owner, lo, hi = [], [], []
+    for j in range(len(radii)):
+        e, c = edges[row == j], col[row == j]
+        if len(c) == 0:
+            e = [0.0, 2 * np.pi] if inside[j, 0] else []
+        elif inside[j, c[0]]:
+            e = np.append(e[1:], e[0] + 2 * np.pi)
+        owner += [j] * (len(e) // 2)
+        lo += list(e[0::2])
+        hi += list(e[1::2])
+    return np.array(owner, dtype=int), np.array(lo), np.array(hi)
+
+
+def sweep_centers(curve):
+    """gamma(0), whose arcs wrap past t = 0, four more curve points, and the
+    centroid, whose small balls miss the curve."""
+    return np.vstack([curve.point(np.array([0.0, 1.0, 2.5, 4.0, 5.5])), curve.centroid])
+
+
+# unsorted, with a repeat, one past every diameter and one infinite
+SWEEP_RADII = np.array([0.3, 0.02, np.inf, 9.0, 0.1, 0.05, 0.6, 0.02])
 
 
 class TestBoundaryMassBatch:
@@ -198,6 +243,47 @@ class TestBoundaryMassBatch:
         if t0 is None:
             assert want[0] == 0.0
             assert want[1] == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("spec", MANY_CENTER_CURVES)
+    def test_many_centers_equal_one_center_rows(self, batch_pairs, spec):
+        pair = batch_pairs[spec]
+        centers, radii = sweep_centers(pair.curve), SWEEP_RADII
+        got = boundary_mass(pair, centers, radii)
+        assert got.shape == (len(centers), len(radii))
+        for center, row in zip(centers, got):
+            assert np.array_equal(row, boundary_mass(pair, center, radii))
+        assert got[-1, 1] == got[-1, 5] == 0.0  # the centroid's small balls
+        assert np.array_equal(got[:, 1], got[:, 7])
+        assert got[:, 2] == pytest.approx(1.0, rel=1e-10)
+        assert np.array_equal(got[:, 2], got[:, 3])  # both hold the whole curve
+
+    @pytest.mark.parametrize("spec", MANY_CENTER_CURVES)
+    def test_ball_local_scan_equals_the_full_table(self, batch_pairs, spec):
+        # the blocks beyond a center's largest ball hold no edge, and the
+        # search in the sorted radii finds every sign change of d - r, also
+        # at radii equal to a probe node's distance from a center, where
+        # the node counts as outside
+        curve = batch_pairs[spec].curve
+        centers = sweep_centers(curve)
+        on_node = np.linalg.norm(curve.probe_points[[40, 700, 3000]] - centers[1], axis=1)
+        radii = np.concatenate([SWEEP_RADII, on_node])
+        owner, a, b = _ball_curve_intervals(curve, centers, radii)
+        assert np.all(np.diff(owner) >= 0)
+        for c, center in enumerate(centers):
+            mine = owner // len(radii) == c
+            want = full_table_intervals(curve, center, radii)
+            assert np.array_equal(owner[mine] % len(radii), want[0])
+            assert np.array_equal(a[mine], want[1]) and np.array_equal(b[mine], want[2])
+        # the finite balls about gamma(0) below the diameter wrap past 2 pi
+        small = np.flatnonzero(SWEEP_RADII < 2.0)
+        assert set(owner[b > 2 * np.pi]) >= set(small)
+
+    def test_many_centers_one_radius(self, batch_pairs):
+        pair = batch_pairs["ellipse(2,1)"]
+        centers = pair.curve.point(np.array([0.0, 2.0]))
+        got = boundary_mass(pair, centers, 0.3)
+        assert got.shape == (2,)
+        assert got.tolist() == [boundary_mass(pair, c, 0.3) for c in centers]
 
     def test_arcs_wrap_past_zero(self, batch_pairs):
         curve = batch_pairs["ellipse(2,1)"].curve
@@ -458,11 +544,72 @@ class TestNetRayPass:
         rep = special_point_search(pair, 0.3, total=1.0, n_r=20, n_theta=96)
         assert np.array_equal(rep.net_masses, want)
 
+    @pytest.mark.parametrize("spec", BUILTIN_CURVES)
+    def test_center_blocks_match_one_block(self, spec, monkeypatch):
+        # 194 centers x 256 rays on the ellipse (126 to 153 on the others)
+        # take four to seven center blocks of _RAY_BLOCK entries. A ray
+        # within 1e-2 rad of the tangent crosses the curve at a shallow
+        # angle, where the root moves by about eps / |d . nu| when the
+        # series rounds differently, so it is held to 1e-12 on the
+        # perturbed disks (perturbed_disk(0.2, 5) has one such ray, 8.4e-4
+        # rad inside the tangent, that moves by 1.2e-13)
+        curve = geometry.builtin_curve(spec)
+        t = boundary_net(curve, 0.05)
+        centers = curve.point(t)
+        theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+        assert len(t) * len(theta) > 3 * nodal._RAY_BLOCK
+        got = _ray_extents(curve, centers, theta, 0.1, t=t)
+        monkeypatch.setattr(nodal, "_RAY_BLOCK", len(t) * len(theta))
+        want = _ray_extents(curve, centers, theta, 0.1, t=t)
+        assert got.shape == want.shape == (len(t), len(theta))
+        shallow = np.abs(curve.normal(t) @ np.stack([np.cos(theta), np.sin(theta)])) < 1e-2
+        diff = np.abs(got - want)
+        assert np.max(diff[~shallow]) <= net_tolerance(spec)
+        assert np.max(diff[shallow]) <= 10 * net_tolerance(spec)
+
+    @pytest.mark.parametrize("spacing,n,calls", [(0.15, 96, 1), (0.05, 256, 7)])
+    def test_center_blocks(self, spacing, n, calls, monkeypatch):
+        # the nets of criterion 10 and of the benchmark (at most 65 centers
+        # x 96 rays) stay one block; the ellipse's 194 x 256 net takes
+        # blocks of 32 centers
+        refines = []
+        roots = nodal._roots
+
+        def counting_roots(*args):
+            refines.append(len(args[1]))
+            return roots(*args)
+
+        monkeypatch.setattr(nodal, "_roots", counting_roots)
+        curve = geometry.ellipse(2.0, 1.0)
+        t = boundary_net(curve, spacing)
+        theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        _ray_extents(curve, curve.point(t), theta, 2 * spacing, t=t)
+        assert len(refines) == calls
+
+    def test_ray_pass_memory_bounded(self):
+        # the ellipse's rho = 0.1 net (194 centers) with 256 rays: held in
+        # one block, its proposals and brackets peaked at 10.1 MiB traced;
+        # blocks of _RAY_BLOCK (center, ray) entries peak at about 2 MiB
+        import tracemalloc
+
+        curve = geometry.ellipse(2.0, 1.0)
+        t = boundary_net(curve, 0.05)
+        centers = curve.point(t)
+        theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+        tracemalloc.start()
+        try:
+            _ray_extents(curve, centers, theta, 0.1, t=t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t) == 194
+        assert peak < 4 * 2**20
+
     def test_search_memory_bounded(self, ellipse_spectrum):
         # at rho = 0.1 and the default 48 x 256 polar grid the net's 194
         # balls hold 2.4 million Gauss points, whose (P, 2) table alone
-        # would take 38 MB; centers go to evaluate_inside in blocks, and
-        # the peak is about 10 MiB at rho = 0.1 and 5 MiB at rho = 0.3
+        # would take 38 MB; centers go to evaluate_inside and to the ray
+        # pass in blocks, and the peak is about 3 MiB at both radii
         import tracemalloc
 
         pair = ellipse_spectrum[7]
@@ -477,20 +624,6 @@ class TestNetRayPass:
                 tracemalloc.stop()
             assert rep.net_size == size
             assert peak < 16 * 2**20
-
-
-@pytest.fixture
-def series_calls(monkeypatch):
-    """Sizes of the BoundaryCurve._series calls made from here on."""
-    calls = []
-    series = geometry.BoundaryCurve._series
-
-    def counting(curve, t, *orders):
-        calls.append(np.size(t))
-        return series(curve, t, *orders)
-
-    monkeypatch.setattr(geometry.BoundaryCurve, "_series", counting)
-    return calls
 
 
 class TestRootKernel:

@@ -338,6 +338,28 @@ class TestTrace:
         assert np.max(np.abs(f - ref)) <= 2e-15 * np.max(np.abs(ref))
         assert np.max(np.abs(df - ref_dt)) <= 2e-15 * np.max(np.abs(ref_dt))
 
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_row_blocks_equal_one_table_and_bound_memory(
+        self, derivative, ellipse_spectrum, monkeypatch
+    ):
+        # 2^17 points of pair 40 (37 modes) as one e^{ikt} table would
+        # take 74 MiB; row blocks of _BLOCK_BUDGET entries read each
+        # point as the whole table does, bit for bit
+        import tracemalloc
+
+        pair = ellipse_spectrum[40]
+        t = np.random.default_rng(5).uniform(0, 2 * np.pi, 2**17)
+        tracemalloc.start()
+        try:
+            got = pair.trace_at(t, derivative=derivative)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        monkeypatch.setattr(steklov, "_BLOCK_BUDGET", len(t) * len(pair._trace_modes()[0]))
+        want = pair.trace_at(t, derivative=derivative)
+        assert np.array_equal(np.reshape(got, -1), np.reshape(want, -1))
+
     def test_replaced_pair_reads_its_own_trace(self, ellipse_spectrum):
         pair = ellipse_spectrum[7]
         t = np.linspace(0, 2 * np.pi, 9)
