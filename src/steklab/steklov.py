@@ -42,7 +42,7 @@ _TAYLOR_TERMS = 20
 _MODE_FLOOR = 1e-14
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
 _EVAL_CHUNK = 4096  # points per block of evaluate_many and of evaluate_inside
-_BLOCK_BUDGET = 2**15  # entries of one Cauchy or Taylor block table: 256 KB stays in L2
+_BLOCK_BUDGET = 2**15  # entries of one Cauchy or Taylor block table, points of one trace block
 _POLY_RTOL = 1e-13  # certificate: boundary residual of the fit over sup of the trace
 _POLY_START = 16  # first degree of the doubling degree search
 _POLY_MAX_DEGREE = 256  # last degree tried, and at most N/2
@@ -199,23 +199,50 @@ class SteklovEigenpair:
             self._cont["modes"] = (k, folded[k])
         return self._cont["modes"]
 
+    def _trace_horner(self):
+        """(k0, g, q): trace = Re e^{ik0 t} q(e^{igt}), with k0 the lowest
+        mode, g the gcd of the gaps k - k0 (1 for at most one mode) and q[j]
+        the coefficient of mode k0 + jg, zero between the kept modes."""
+        if "horner" not in self._cont:
+            k, c = self._trace_modes()
+            k0 = int(k[0]) if len(k) else 0
+            g = int(np.gcd.reduce(k - k0)) or 1
+            q = np.zeros((int(k[-1]) - k0) // g + 1 if len(k) else 0, dtype=complex)
+            q[(k - k0) // g] = c
+            self._cont["horner"] = (k0, g, q)
+        return self._cont["horner"]
+
     def trace_at(self, t, derivative=False):
         """Trigonometric interpolation of the boundary trace at parameters t;
         with derivative, the pair (trace, its t-derivative), the second from
-        ik times the modes in the same e^{ikt} product. The values come
-        flattened, one per entry of t. The e^{ikt} table is built in row
-        blocks of at most _BLOCK_BUDGET (points, modes) entries, so memory
-        stays bounded for any number of points; each point reads what one
-        whole table gives it."""
+        the coefficients ik c_k in the same recurrence. The values come
+        flattened, one per entry of t.
+
+        Horner's rule in z = e^{igt} with the stride g of `_trace_horner`,
+        backward stable on the unit circle (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed. (2002), 5.1): at most two exps
+        (`_phase`) and (k_max - k0)/g complex multiply-adds per point, no
+        (points, modes) table and no BLAS, so the values do not depend on the
+        BLAS thread count. Points go in blocks of _BLOCK_BUDGET, so memory
+        stays bounded; each value is elementwise and does not depend on the
+        block.
+        """
         t = np.asarray(t, dtype=float).ravel()
-        kvec, fhat = self._trace_modes()
-        coef = np.stack([fhat, 1j * kvec * fhat], axis=1) if derivative else fhat
-        out = np.empty(t.shape + coef.shape[1:])
-        rows = max(1, _BLOCK_BUDGET // max(len(kvec), 1))
-        for start in range(0, len(t), rows):
-            e = np.exp(1j * np.outer(t[start:start + rows], kvec))
-            out[start:start + rows] = (e @ coef).real
-        return (out[:, 0], out[:, 1]) if derivative else out
+        k0, g, q = self._trace_horner()
+        rows = [q, 1j * (k0 + g * np.arange(len(q))) * q] if derivative else [q]
+        out = np.zeros((len(rows), len(t)))
+        for start in range(0, len(t) if len(q) else 0, _BLOCK_BUDGET):
+            tb = t[start:start + _BLOCK_BUDGET]
+            z = _phase(g, tb) if len(q) > 1 else None
+            shift = _phase(k0, tb) if k0 else 1.0
+            for i, row in enumerate(rows):
+                p = np.full(len(tb), row[-1])
+                for c in row[-2::-1].tolist():
+                    p *= z
+                    p += c
+                p *= shift
+                out[i, start:start + len(tb)] = p.real
+        return (out[0], out[1]) if derivative else out[0]
 
     # -- normal Taylor continuation ---------------------------------------------
 
@@ -526,6 +553,18 @@ def _modes_above(spec, floor):
     keep = mag > floor * max(np.max(mag), 1e-300)
     keep[len(spec) // 2] = False
     return keep
+
+
+def _phase(k, t):
+    """e^{ikt} for an integer k > 0, free of the rounding of the product kt,
+    up to half an ulp of kt (1.4e-14 at kt = 245). kt is exact when k is a
+    power of two. Otherwise t splits into hi, a multiple of 2^-40, and
+    lo = t - hi: k hi is exact for k <= 2^10 and |t| < 8, and e^{ik lo} is
+    1 + ik lo to within (k lo)^2 / 2 < 2^-62."""
+    if k & (k - 1) == 0:
+        return np.exp(1j * (k * t))
+    hi = np.rint(t * 2.0**40) * 2.0**-40
+    return np.exp(1j * (k * hi)) * (1.0 + 1j * (k * (t - hi)))
 
 
 def _fold(spec):

@@ -315,36 +315,116 @@ class TestSpectrum:
             SpectrumSlice.from_json(json.dumps(data))
 
 
+def trace_oracle(pair, t):
+    """Value and t-derivative of the +-k interpolant of pair.trace (the FFT
+    modes above the 1e-14 floor, less Nyquist) in clongdouble, with the
+    phases kt in long double: a reference independent of the fold and of
+    the arithmetic of trace_at."""
+    N = pair.dtn.N
+    fhat = np.fft.fft(pair.trace) / N
+    k = np.fft.fftfreq(N, 1.0 / N)
+    keep = (np.abs(fhat) > 1e-14 * np.max(np.abs(fhat))) & (np.abs(k) < N // 2)
+    kl, cl = k[keep].astype(np.longdouble), fhat[keep].astype(np.clongdouble)
+    e = np.exp(1j * np.outer(np.asarray(t, dtype=np.longdouble), kl))
+    return np.real(e @ cl), np.real(e @ (1j * kl * cl))
+
+
 class TestTrace:
     @pytest.mark.parametrize(
-        "curve, j", [("disk", 80), ("ellipse", 7), ("ellipse", 40), ("ellipse", 99)]
+        "curve, j",
+        [("disk", 80), ("ellipse", 7), ("ellipse", 40), ("ellipse", 99),
+         ("perturbed", 7), ("perturbed", 40)],
     )
     def test_folded_modes_match_dense_spectrum(
-        self, curve, j, disk_spectrum, ellipse_spectrum
+        self, curve, j, disk_spectrum, ellipse_spectrum, perturbed_spectrum
     ):
-        # the stored modes have k >= 0, -k folded onto k; their sum matches
-        # the +-k interpolant of the modes above the same relative floor
-        pair = (disk_spectrum if curve == "disk" else ellipse_spectrum)[j]
-        assert np.all(pair._trace_modes()[0] >= 0)
-        N = pair.dtn.N
-        fhat = np.fft.fft(pair.trace) / N
-        k = np.fft.fftfreq(N, 1.0 / N)
-        keep = (np.abs(fhat) > 1e-14 * np.max(np.abs(fhat))) & (np.abs(k) < N // 2)
+        # the stored modes have k >= 0, -k folded onto k; their Horner sum
+        # matches the +-k interpolant of the modes above the same relative
+        # floor within 1e-14 of sum |c_k| (values) and sum |k c_k|
+        # (derivatives). A double e^{ikt} table misses this on disk pair 80
+        # (1.4e-14): its phases fl(kt) round by up to half an ulp of kt
+        spectra = {"disk": disk_spectrum, "ellipse": ellipse_spectrum}
+        pair = spectra.get(curve, perturbed_spectrum)[j]
+        k, c = pair._trace_modes()
+        assert np.all(k >= 0)
         t = np.random.default_rng(j).uniform(0, 2 * np.pi, 1000)
-        e = np.exp(1j * np.outer(t, k[keep]))
-        ref = np.real(e @ fhat[keep])
-        ref_dt = np.real(e @ (1j * k[keep] * fhat[keep]))
+        ref, ref_dt = trace_oracle(pair, t)
         f, df = pair.trace_at(t, derivative=True)
-        assert np.max(np.abs(f - ref)) <= 2e-15 * np.max(np.abs(ref))
-        assert np.max(np.abs(df - ref_dt)) <= 2e-15 * np.max(np.abs(ref_dt))
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.sum(np.abs(c))
+        assert np.max(np.abs(df - ref_dt)) <= 1e-14 * np.sum(np.abs(k * c))
+
+    def test_constant_pair(self, disk_spectrum):
+        # k = {0}: no gap to take a stride from, no Horner step, no phase
+        pair = disk_spectrum[0]
+        k, c = pair._trace_modes()
+        assert k.tolist() == [0]
+        t = np.linspace(-1.0, 8.0, 11)
+        f, df = pair.trace_at(t, derivative=True)
+        assert np.array_equal(f, np.full(11, c[0].real))
+        assert np.array_equal(df, np.zeros(11))
+
+    def test_one_mode_pair(self, disk_spectrum):
+        # one mode, k = 3: the phase e^{3it} alone, no Horner step
+        pair = disk_spectrum[5]
+        k, c = pair._trace_modes()
+        assert k.tolist() == [3] and len(pair._trace_horner()[2]) == 1
+        t = np.random.default_rng(3).uniform(-2.0, 8.0, 500)
+        ref, ref_dt = trace_oracle(pair, t)
+        f, df = pair.trace_at(t, derivative=True)
+        assert np.max(np.abs(f - ref)) <= 1e-14 * abs(c[0])
+        assert np.max(np.abs(df - ref_dt)) <= 1e-14 * 3 * abs(c[0])
+
+    @pytest.mark.parametrize(
+        "modes, layout",
+        [(range(0, 41, 2), (0, 2, 21)), ((3, 6, 9, 15), (3, 3, 5))],
+        ids=["even", "stride-3"],
+    )
+    def test_stride_is_the_gcd_of_the_gaps(self, modes, layout, disk_spectrum):
+        # one parity halves the recurrence; a stride of 3 reads e^{3it}
+        # through the split phase, as does the shift e^{3it}
+        N = disk_spectrum.dtn.N
+        spec = np.zeros(N, dtype=complex)
+        spec[list(modes)] = np.random.default_rng(4).normal(size=(len(modes), 2)) @ [1, 1j]
+        pair = dataclasses.replace(disk_spectrum[1], trace=N * np.fft.ifft(spec).real)
+        k0, g, q = pair._trace_horner()
+        assert (k0, g, len(q)) == layout
+        t = np.random.default_rng(6).uniform(-1.0, 8.0, 1000)
+        ref, ref_dt = trace_oracle(pair, t)
+        f, df = pair.trace_at(t, derivative=True)
+        k, c = pair._trace_modes()
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.sum(np.abs(c))
+        assert np.max(np.abs(df - ref_dt)) <= 1e-14 * np.sum(np.abs(k * c))
+
+    def test_zero_trace(self, ellipse_spectrum):
+        # no mode above the floor: zeros, derivative included
+        pair = dataclasses.replace(
+            ellipse_spectrum[7], trace=np.zeros_like(ellipse_spectrum[7].trace)
+        )
+        assert len(pair._trace_modes()[0]) == 0
+        t = np.linspace(0.0, 2 * np.pi, 7)
+        assert np.array_equal(pair.trace_at(t), np.zeros(7))
+        f, df = pair.trace_at(t, derivative=True)
+        assert np.array_equal(f, np.zeros(7)) and np.array_equal(df, np.zeros(7))
+
+    def test_empty_and_two_dimensional_t(self, ellipse_spectrum):
+        pair = ellipse_spectrum[40]
+        assert pair.trace_at([]).shape == (0,)
+        f, df = pair.trace_at(np.empty(0), derivative=True)
+        assert f.shape == df.shape == (0,)
+        # a 2-D t comes back flattened, each value as for the flat t
+        t = np.random.default_rng(2).uniform(0, 2 * np.pi, (3, 4))
+        assert np.array_equal(pair.trace_at(t), pair.trace_at(t.ravel()))
+        got, want = pair.trace_at(t, derivative=True), pair.trace_at(t.ravel(), derivative=True)
+        assert got[0].shape == got[1].shape == (12,)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_row_blocks_equal_one_table_and_bound_memory(
         self, derivative, ellipse_spectrum, monkeypatch
     ):
-        # 2^17 points of pair 40 (37 modes) as one e^{ikt} table would
-        # take 74 MiB; row blocks of _BLOCK_BUDGET entries read each
-        # point as the whole table does, bit for bit
+        # 2^17 points of pair 40 (37 modes) in blocks of _BLOCK_BUDGET points
+        # stay under 8 MiB, and one block for all of them reads each point
+        # as the blocks do, bit for bit
         import tracemalloc
 
         pair = ellipse_spectrum[40]

@@ -3,7 +3,8 @@ thread count: eigh returns a thread-dependent basis inside each degenerate
 eigenspace, which solve_spectrum replaces by a pinned one. Neither does the
 constant mode's eigenvalue, which solve_spectrum returns as exactly 0, nor
 the sign of an ellipse eigenvector, whose largest samples tie in magnitude.
-Each ellipse trace moves by no more than its Davis-Kahan bound."""
+Each ellipse trace moves by no more than its Davis-Kahan bound. The trace
+kernel reads no BLAS, so a fixed trace reads the same bits at both counts."""
 
 import os
 import subprocess
@@ -45,14 +46,38 @@ np.savez(
 """
 
 
-def run_at(threads, out):
+TRACE_SCRIPT = """
+import sys
+import numpy as np
+from steklab import geometry
+from steklab.steklov import SteklovEigenpair, build_dtn
+
+# seeded synthetic traces on 256 nodes, made by an FFT rather than a BLAS
+# product: even modes 0 to 40 (stride 2) and every mode 3 to 60 (stride 1
+# after a phase e^{3it})
+dtn = build_dtn(geometry.disk(), 256)
+rng = np.random.default_rng(11)
+t = rng.uniform(-1.0, 8.0, 5000)
+out = {}
+for name, k in (("even", np.arange(0, 41, 2)), ("band", np.arange(3, 61))):
+    spec = np.zeros(256, dtype=complex)
+    spec[k] = rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))
+    trace = 256 * np.fft.ifft(spec).real
+    pair = SteklovEigenpair(eigenvalue=1.0, trace=trace, density=np.zeros(256),
+                            residual=0.0, dtn=dtn)
+    out[name], out[name + "_dt"] = pair.trace_at(t, derivative=True)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def run_at(threads, out, script=SCRIPT):
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
     return np.load(out)
 
 
@@ -73,6 +98,14 @@ def test_disk_spectrum_thread_independent(tmp_path):
     scale = np.max(np.abs(one["ellipse"]), axis=1)
     diff = np.max(np.abs(one["ellipse"] - two["ellipse"]), axis=1)
     assert np.all(diff <= bound * scale)
+
+
+def test_trace_kernel_thread_independent(tmp_path):
+    one = run_at(1, tmp_path / "one.npz", TRACE_SCRIPT)
+    two = run_at(2, tmp_path / "two.npz", TRACE_SCRIPT)
+    assert sorted(one.files) == sorted(two.files) == ["band", "band_dt", "even", "even_dt"]
+    for name in one.files:
+        assert np.array_equal(one[name], two[name]), name
 
 
 def rotation_bound(lam, norm):
