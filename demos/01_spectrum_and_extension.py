@@ -1,4 +1,4 @@
-"""Solve Steklov spectra and evaluate eigenfunctions off the boundary.
+"""Solve Steklov spectra and evaluate eigenfunctions in the closed domain.
 
 The Steklov problem asks for harmonic functions whose normal derivative on
 the boundary is a multiple of their boundary trace. On the unit disk the
@@ -24,12 +24,14 @@ print(f"  {np.max(np.abs(spectrum.eigenvalues - exact)):.3e}")
 pair = spectrum[9]  # lambda = 5, trace proportional to a trig of order 5
 print(f"\npair 9: lambda = {pair.eigenvalue:.12f}, residual = {pair.residual:.2e}")
 
-# interior, boundary-adjacent, and slightly exterior points all work; the
-# exterior band extends the eigenfunction harmonically across the boundary
-for r in (0.3, 0.95, 1.02):
+# interior, boundary-adjacent and boundary points all work; on the boundary
+# u matches the trace interpolant at the same parameter, and a point farther
+# outside than round-off raises OutOfDomainError
+for r in (0.3, 0.95, 1.0):
     x = np.array([r * np.cos(0.7), r * np.sin(0.7)])
     v, g = pair.evaluate(x)
     print(f"  |x| = {r:4.2f}: u = {v:+.6e}, |grad u| = {np.linalg.norm(g):.6e}")
+print(f"  trace_at(0.7): u = {pair.trace_at(0.7)[0]:+.6e}")
 
 # the r^5 structure is visible directly: u(0.3 x0)/u(x0) = 0.3^5
 x0 = np.array([np.cos(0.7), np.sin(0.7)])

@@ -26,7 +26,7 @@ class SolverError(SteklabError):
 
 
 class OutOfDomainError(SteklabError):
-    """Evaluation point outside the domain and beyond the extension band."""
+    """Evaluation point or ball outside the domain."""
 
 
 class InvalidCenterError(SteklabError):

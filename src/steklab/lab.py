@@ -53,12 +53,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
+        """Config from a JSON object of known keys: ValueError for other
+        JSON, an unknown key, or a value that is not a string for a string
+        field or not a number for a numeric one (a bool is not a number).
+        Ranges and integrality are checked where the values are used."""
         data = json.loads(text)
-        known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        unknown = set(data) - set(known)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**known)
+        for key, value in data.items():
+            string = isinstance(getattr(cls, key), str)
+            if isinstance(value, bool) or not isinstance(value, str if string else (int, float)):
+                want = "a string" if string else "a number"
+                raise ValueError(f"config key {key} must be {want}, got {value!r}")
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path):

@@ -18,10 +18,8 @@ boundary values follow from the trace (dv/dt = |gamma'| du/dnu), evaluated
 by the barycentric Cauchy formula (Helsing & Ojala, J. Comput. Phys. 227
 (2008)), accurate up to the curve. `evaluate_inside` reads these two with
 no inside test, for points inside by construction such as polar grids;
-`evaluate_many` routes points by their side. In the thin exterior band the
-potential is continued through a Taylor expansion in the normal offset whose
-coefficients are grid functions of the boundary parameter, computed
-recursively from harmonicity in tube coordinates.
+`evaluate_many` reads them at points of the closed domain, up to a
+round-off outside the curve, and rejects any other point.
 """
 
 from __future__ import annotations
@@ -38,11 +36,10 @@ from .geometry import BoundaryCurve
 
 TWO_PI = 2.0 * np.pi
 
-_TAYLOR_TERMS = 20
 _MODE_FLOOR = 1e-14
 _CLUSTER_RTOL = 1e-8  # eigenvalues this close share one pinned basis
 _EVAL_CHUNK = 4096  # points per block of evaluate_many and of evaluate_inside
-_BLOCK_BUDGET = 2**15  # entries of one Cauchy or Taylor block table, points of one trace block
+_BLOCK_BUDGET = 2**15  # entries of one Cauchy block table, points of one trace block
 _POLY_RTOL = 1e-13  # certificate: boundary residual of the fit over sup of the trace
 _POLY_START = 16  # first degree of the doubling degree search
 _POLY_MAX_DEGREE = 256  # last degree tried, and at most N/2
@@ -193,7 +190,7 @@ class SteklovEigenpair:
         """(k >= 0, c): trace = Re sum c e^{ikt} over the modes above the floor."""
         if "modes" not in self._cont:
             fhat = np.fft.fft(self.trace) / self.dtn.N
-            fhat[~_modes_above(fhat, _MODE_FLOOR)] = 0.0
+            fhat[~_modes_above(fhat)] = 0.0
             folded = _fold(fhat)
             k = np.flatnonzero(folded)
             self._cont["modes"] = (k, folded[k])
@@ -243,97 +240,6 @@ class SteklovEigenpair:
                 p *= shift
                 out[i, start:start + len(tb)] = p.real
         return (out[0], out[1]) if derivative else out[0]
-
-    # -- normal Taylor continuation ---------------------------------------------
-
-    def _continuation(self):
-        """Taylor coefficients (in the signed normal offset) of the extension.
-
-        Coefficient m is stored as a filtered Fourier spectrum over the node
-        grid. Recursion from Laplace's equation in tube coordinates where the
-        metric factor is speed(t) * (1 + kappa(t) s).
-        """
-        if "taylor" in self._cont:
-            return self._cont["taylor"]
-        dtn = self.dtn
-        N = dtn.N
-        kvec = np.fft.fftfreq(N, 1.0 / N).astype(int)
-        ik = 1j * kvec
-        lam = self.eigenvalue
-
-        def bandwidth(grid):
-            keep = _modes_above(np.fft.fft(grid), 10 * _MODE_FLOOR)
-            return int(np.max(np.abs(kvec[keep]), initial=0))
-
-        k_geo = max(bandwidth(dtn.speed), bandwidth(dtn.speed * dtn.kappa))
-        k_trace = int(np.max(self._trace_modes()[0], initial=0))
-
-        def filt(grid, level):
-            # per-level relative floor plus a progressive bandwidth cap: the
-            # exact coefficient at level m is band-limited to the trace
-            # bandwidth broadened m times by the geometry spectrum, so
-            # anything beyond that is grid noise that repeated t-derivatives
-            # would amplify faster than the signal
-            spec = np.fft.fft(grid) / N
-            spec[~_modes_above(spec, _MODE_FLOOR)] = 0.0
-            cap = min(k_trace + (level + 1) * (k_geo + 2) + 8, N // 2 - 1)
-            spec[np.abs(kvec) > cap] = 0.0
-            return spec
-
-        def ddt(grid):
-            return np.fft.ifft(np.fft.fft(grid) * ik)
-
-        a = dtn.speed.astype(complex)
-        b = (dtn.speed * dtn.kappa).astype(complex)
-        # Taylor coefficients of 1/H in s: e_i = (-b/a)^i / a
-        ratio = -b / a
-        e = [1.0 / a]
-        for _ in range(_TAYLOR_TERMS):
-            e.append(e[-1] * ratio)
-
-        f0 = np.fft.ifft(filt(self.trace.astype(complex), 0) * N)
-        c = [f0, lam * f0]
-        dc = []  # ddt(c[j]), each taken once
-        for k in range(_TAYLOR_TERMS - 1):
-            dc.append(ddt(c[k]))
-            acc = np.zeros(N, dtype=complex)
-            for j in range(k + 1):
-                acc += e[k - j] * dc[j]
-            g = -ddt(acc)
-            nxt = (g / (k + 1) - b * (k + 1) * c[k + 1]) / (a * (k + 2))
-            nxt = np.fft.ifft(filt(nxt, k + 2) * N)
-            c.append(nxt)
-
-        folded = _fold(np.stack([filt(cm, m) for m, cm in enumerate(c)], axis=1))
-        kv = np.flatnonzero(np.any(folded != 0, axis=1))
-        coeff = folded[kv]
-        # value and t-derivative blocks side by side: (modes, 2M)
-        self._cont["taylor"] = (kv, np.hstack([coeff, coeff * (1j * kv)[:, None]]))
-        return self._cont["taylor"]
-
-    def _taylor_eval(self, t, s):
-        """Value and Cartesian gradient of the continuation at tube coords (t, s)."""
-        kv, coeff = self._continuation()
-        M = coeff.shape[1] // 2
-        # e^{ikt} = e^{iBqt} e^{irt} with k = Bq + r: about 2 sqrt(K) complex
-        # exps per point in place of K. With t = t1 + t2, t1 on a 2^-41 grid,
-        # k t1 is exact for k < 650 and e^{ikt2} = 1 + ikt2 to 1e-20
-        B = int(np.ceil(np.sqrt(kv[-1] + 1)))
-        q, r = np.divmod(kv, B)
-        k = np.concatenate([B * np.arange(q[-1] + 1), np.arange(B)])
-        t1 = np.round(t * 2.0**41) / 2.0**41
-        e = np.exp(1j * np.outer(t1, k)) * (1.0 + 1j * np.outer(t - t1, k))
-        both = np.real((e[:, q] * e[:, q[-1] + 1 + r]) @ coeff)  # (P, 2M)
-        vals_m, dvals_m = both[:, :M], both[:, M:]
-        powers = np.cumprod(np.where(np.arange(M) > 0, s[:, None], 1.0), axis=1)
-        u = np.sum(vals_m * powers, axis=1)
-        u_s = np.sum(vals_m[:, 1:] * np.arange(1, M) * powers[:, :-1], axis=1)
-        u_t = np.sum(dvals_m * powers, axis=1)
-
-        f = self.curve.frame(t)
-        H = f.speed * (1.0 + f.kappa * s)
-        grad = f.nu * u_s[:, None] + f.T * (u_t / H)[:, None]
-        return u, grad
 
     # -- barycentric Cauchy integral ---------------------------------------------
 
@@ -440,11 +346,6 @@ class SteklovEigenpair:
 
     # -- public evaluation ---------------------------------------------------------
 
-    def extension_band(self):
-        """Half-width of the exterior harmonic-extension band, in length units."""
-        lam = max(self.eigenvalue, 1.0)
-        return min(0.1 * self.curve.max_tube_halfwidth(), 0.5 / lam)
-
     def evaluate_inside(self, x, gradient=True):
         """u, or with gradient the pair (u, grad u), at points x inside the
         curve: the certified polynomial of `_poly`, u = Re p and
@@ -477,49 +378,27 @@ class SteklovEigenpair:
         return (vals, grads) if gradient else vals
 
     def evaluate_many(self, x, t=None, s=None):
-        """u and grad u at an array of points inside Omega or in the thin
-        exterior extension band.
+        """u and grad u at an array of points of the closed domain: every
+        point with a signed offset s <= curve.round_off reads
+        `evaluate_inside`, and any other point raises OutOfDomainError.
 
-        t and s are the points' foot parameters and signed offsets. Where
-        they are not given, the band check and the routing need s, so the
-        points that `BoundaryCurve.surely_inside` leaves in doubt are
-        projected here; those it marks inside are routed inside. A point
-        with s <= 0 reads `evaluate_inside`; a point with s > 0 reads the
-        normal Taylor series. Callers whose points are inside by
-        construction call `evaluate_inside` directly. Memory is bounded for
-        any number of points: points go in blocks of _EVAL_CHUNK, and both
-        per-point tables, the Cauchy formula's (points, nodes) and the
-        Taylor series' (points, modes), hold at most _BLOCK_BUDGET entries
-        at a time."""
+        t and s are the points' foot parameters and signed offsets; only s
+        is read. Where s is not given, the points that
+        `BoundaryCurve.surely_inside` leaves in doubt are projected here,
+        in blocks of _EVAL_CHUNK points, so memory stays bounded for any
+        number of points; those it marks inside are not. Callers whose
+        points are inside by construction call `evaluate_inside` directly."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        band_out = self.extension_band()
-        out_v = np.empty(len(x))
-        out_g = np.empty((len(x), 2))
-        for start in range(0, len(x), _EVAL_CHUNK):
-            sl = slice(start, start + _EVAL_CHUNK)
-            xb, vals, grads = x[sl], out_v[sl], out_g[sl]  # views of the outputs
-            if t is None:
-                # points marked inside are routed there by s = -inf
-                doubt = ~self.curve.surely_inside(xb)
-                tb, sb = np.full(len(xb), np.nan), np.full(len(xb), -np.inf)
-                if np.any(doubt):
-                    tb[doubt], sb[doubt], _ = self.curve.nearest_point_many(xb[doubt])
-            else:
-                tb, sb = t[sl], s[sl]
-            if np.any(sb > band_out * (1 + 1e-12)):
-                raise OutOfDomainError(
-                    "point beyond the exterior harmonic-extension band"
-                )
-            inside = sb <= 0
-            if np.any(inside):
-                vals[inside], grads[inside] = self.evaluate_inside(xb[inside])
-            idx = np.flatnonzero(~inside)
-            modes = len(self._continuation()[0]) if len(idx) else 1
-            rows = max(1, _BLOCK_BUDGET // (2 * modes))
-            for i in range(0, len(idx), rows):
-                sub = idx[i:i + rows]
-                vals[sub], grads[sub] = self._taylor_eval(tb[sub], sb[sub])
-        return out_v, out_g
+        if s is None:
+            s = np.full(len(x), -np.inf)  # points marked inside need no foot point
+            for start in range(0, len(x), _EVAL_CHUNK):
+                inside = self.curve.surely_inside(x[start:start + _EVAL_CHUNK])
+                doubt = start + np.flatnonzero(~inside)
+                if len(doubt):
+                    s[doubt] = self.curve.nearest_point_many(x[doubt])[1]
+        if not np.all(np.asarray(s) <= self.curve.round_off):
+            raise OutOfDomainError("point outside the curve by more than round-off")
+        return self.evaluate_inside(x)
 
     def evaluate(self, x):
         v, g = self.evaluate_many(x)
@@ -546,11 +425,12 @@ def _horner(fit, z, derivative=True):
     return (p, dp) if derivative else p
 
 
-def _modes_above(spec, floor):
-    """Mask of the FFT-ordered modes above floor times the largest magnitude,
-    less the unpaired Nyquist mode, which is below noise for resolved pairs."""
+def _modes_above(spec):
+    """Mask of the FFT-ordered modes above _MODE_FLOOR times the largest
+    magnitude, less the unpaired Nyquist mode, which is below noise for
+    resolved pairs."""
     mag = np.abs(spec)
-    keep = mag > floor * max(np.max(mag), 1e-300)
+    keep = mag > _MODE_FLOOR * max(np.max(mag), 1e-300)
     keep[len(spec) // 2] = False
     return keep
 
@@ -568,8 +448,8 @@ def _phase(k, t):
 
 
 def _fold(spec):
-    """Fold mode -k of an FFT-ordered spectrum (along axis 0, Nyquist mode
-    zero) onto k, exact under Re: Re(c e^{-ikt}) = Re(conj(c) e^{ikt})."""
+    """Fold mode -k of an FFT-ordered spectrum (Nyquist mode zero) onto k,
+    exact under Re: Re(c e^{-ikt}) = Re(conj(c) e^{ikt})."""
     h = len(spec) // 2
     return np.concatenate([spec[:1], spec[1:h] + np.conj(spec[:h:-1])])
 

@@ -217,10 +217,14 @@ class TestFieldDomains:
 
     @pytest.mark.parametrize("quad", [h_of_r, d_of_r])
     def test_eigenpair_field_beyond_band(self, disk_spectrum, quad):
-        # the circle of radius 1.5 about the origin leaves the unit disk's band
+        # an eigenpair's field is the closed domain and its round-off band:
+        # the circle of radius 1.5 about the origin leaves the unit disk, and
+        # a point 1e-9 outside it is rejected too
         f = ScalarField(disk_spectrum[9].evaluate_many)
         with pytest.raises(OutOfDomainError):
             quad(f, (0.0, 0.0), 1.5)
+        with pytest.raises(OutOfDomainError):
+            f(np.array([np.cos(0.7), np.sin(0.7)]) * (1.0 + 1e-9))
 
     @pytest.mark.parametrize("quad", [h_of_r, d_of_r])
     def test_v_field_beyond_collar(self, transformed, quad):
@@ -352,7 +356,8 @@ class TestFrameTraffic:
     def test_one_frame_per_field_call(self, transformed, series_calls):
         pair, _, field, coeffs = transformed
         t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        # offsets within the extension band (0.03) and beyond it (0.1), on both sides
+        # offsets 0.03 and 0.1 on both sides; exterior points read u at
+        # their mirror points
         s = np.tile([-0.1, -0.03, 0.03, 0.1], 4)
         x = pair.curve.point(t) + s[:, None] * pair.curve.normal(t)
         for call, most in ((coeffs, 1), (field, 3)):

@@ -356,10 +356,17 @@ class TestCli:
         ({"j_max": 4, "n_nodes": 0}, "n_nodes"),
         ({"j_max": 4, "samples": -5}, "samples"),
         ({"j_max": 4, "samples": 2.5}, "samples"),
+        # not a JSON object, and mistyped values (a bool is not a number)
+        ([1, 2], "object"),
+        ({"domain": 5}, "domain"),
+        ({"octaves": "3"}, "octaves"),
+        ({"j_max": True}, "j_max"),
+        ({"outdir": None}, "outdir"),
     ])
     def test_bad_scaling_config_exit_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "cfg.json"
-        config = {"domain": "disk", "n_nodes": 128, "outdir": str(tmp_path), **config}
+        if isinstance(config, dict):
+            config = {"domain": "disk", "n_nodes": 128, "outdir": str(tmp_path), **config}
         path.write_text(json.dumps(config))
         assert self.run("scaling", "--config", str(path)) == 2
         err = capsys.readouterr().err

@@ -21,8 +21,7 @@ from conftest import disk_mode_coefficients
 @pytest.fixture
 def uncertified(monkeypatch):
     """A fresh copy of a pair with the degree cap at 0: it has no certified
-    polynomial, so evaluate_many reads the Cauchy formula inside and the
-    Taylor series in the exterior band."""
+    polynomial, so evaluate_many reads the Cauchy formula."""
     monkeypatch.setattr(steklov, "_POLY_MAX_DEGREE", 0)
     return dataclasses.replace
 
@@ -88,6 +87,39 @@ def dense_dtn_reference(curve, N):
     np.fill_diagonal(Kp, -f.kappa / (4 * np.pi))
     Kp = Kp * f.speed[None, :] * (2 * np.pi / N) + 0.5 * np.eye(N)
     return np.linalg.solve(S.T, Kp.T).T
+
+
+def ritz_eigenvalues(curve, degree, n=2048):
+    """Steklov eigenvalues by Rayleigh-Ritz in harmonic polynomials (Betcke &
+    Trefethen, SIAM Rev. 47 (2005)): a reference independent of the DtN
+    discretization. The basis is Re q_k and Im q_k (Im q_0 = 0 dropped) for
+    q_0 = 1, ..., q_degree orthonormalized by Arnoldi on n boundary samples,
+    their derivatives q_k' from the same recurrence; with the n-point
+    trapezoid rule in t, K_ij = int phi_i d_nu phi_j ds and M_ij = int
+    phi_i phi_j ds, and the eigenvalues are those of K x = lambda M x."""
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    f = curve.frame(t)
+    z = f.point[:, 0] + 1j * f.point[:, 1]
+    nu = f.nu[:, 0] + 1j * f.nu[:, 1]
+    Q = np.zeros((n, degree + 1), dtype=complex)
+    dQ = np.zeros_like(Q)
+    Q[:, 0] = 1.0
+    for k in range(degree):
+        q, dq = z * Q[:, k], Q[:, k] + z * dQ[:, k]
+        for _ in range(2):  # Gram-Schmidt twice
+            h = Q[:, :k + 1].conj().T @ q / n
+            q -= Q[:, :k + 1] @ h
+            dq -= dQ[:, :k + 1] @ h
+        scale = np.linalg.norm(q) / np.sqrt(n)
+        Q[:, k + 1], dQ[:, k + 1] = q / scale, dq / scale
+    # d_nu Re q = Re(q' nu) and d_nu Im q = Im(q' nu), nu as a complex number
+    dn = dQ * nu[:, None]
+    phi = np.hstack([Q.real, Q.imag[:, 1:]])
+    phi_nu = np.hstack([dn.real, dn.imag[:, 1:]])
+    w = f.speed * (2 * np.pi / n)
+    K = phi.T @ (w[:, None] * phi_nu)
+    M = phi.T @ (w[:, None] * phi)
+    return scipy.linalg.eigh(0.5 * (K + K.T), M, eigvals_only=True)
 
 
 def disk_exact_eigenvalues(count):
@@ -183,6 +215,18 @@ class TestSpectrum:
     def test_residuals_small(self, ellipse_spectrum):
         for pair in ellipse_spectrum:
             assert pair.residual < 1e-8 * max(pair.eigenvalue, 1.0)
+
+    @pytest.mark.parametrize("curve", ["ellipse", "perturbed"])
+    def test_eigenvalues_match_ritz_oracle(
+        self, curve, ellipse_spectrum, perturbed_spectrum
+    ):
+        # the first 100 DtN eigenvalues at N = 512 against Rayleigh-Ritz in
+        # harmonic polynomials of degree 120 (they agree to about 5e-14)
+        spectrum = ellipse_spectrum if curve == "ellipse" else perturbed_spectrum
+        lam = spectrum.eigenvalues
+        ref = ritz_eigenvalues(spectrum.dtn.curve, 120)[:len(lam)]
+        assert len(lam) == 100
+        assert np.max(np.abs(lam - ref) / np.maximum(ref, 1.0)) <= 1e-12
 
     def test_spectral_accuracy_vs_node_count(self, disk_curve):
         # disk kernels are trigonometric polynomials, so every admissible
@@ -462,6 +506,8 @@ class TestExtension:
         rng = np.random.default_rng(5)
         r = rng.uniform(0.05, 1.05, 60)
         th = rng.uniform(0, 2 * np.pi, 60)
+        inside = r <= 1.0
+        r, th = r[inside], th[inside]
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         v, g = pair.evaluate_many(pts)
         z = pts[:, 0] + 1j * pts[:, 1]
@@ -490,23 +536,6 @@ class TestExtension:
         scale = pair.eigenvalue * np.max(np.abs(f))
         assert np.max(np.abs(nd - pair.eigenvalue * f)) < 1e-8 * scale
 
-    def test_cross_side_continuity(self, ellipse_spectrum):
-        # the exterior continuation matches interior values across the
-        # boundary to high order along the normal
-        pair = ellipse_spectrum[7]
-        curve = pair.curve
-        t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        band = pair.extension_band()
-        s = 0.5 * band
-        vi, _ = pair.evaluate_many(curve.point(t) - s * curve.normal(t))
-        vo, _ = pair.evaluate_many(curve.point(t) + s * curve.normal(t))
-        vb = pair.trace_at(t)
-        # mean of the two sides approximates the trace to O(s^2) in the
-        # Taylor series, far tighter than either side alone
-        assert np.max(np.abs(vi + vo - 2 * vb)) < 10 * s**2 * np.max(np.abs(vb)) * (
-            pair.eigenvalue**2
-        )
-
     def test_layer_memory_bounded(self, disk_spectrum, uncertified):
         # 4096 points at depth 0.0126 inside the lambda = 40 mode read the
         # Cauchy formula; unblocked, its (4096, 512) complex tables peaked at
@@ -527,68 +556,14 @@ class TestExtension:
         assert peak < 8 * 2**20
         assert np.max(np.abs(u - r**40 * pair.trace_at(th))) <= 1e-12
 
-    def test_taylor_memory_bounded(self, ellipse_spectrum):
-        # 4096 points in the exterior band of a 256-mode pair; one
-        # (4096, 256) complex phase table and its products peaked at 32 MB
-        import tracemalloc
-
-        pair = ellipse_spectrum[7]
-        t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-        f = pair.curve.frame(t)
-        x = f.point + 0.5 * pair.extension_band() * f.nu
-        pair.evaluate_many(x[:1])  # build the cached tables untraced
-        tracemalloc.start()
-        try:
-            pair.evaluate_many(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-
-    @pytest.mark.parametrize(
-        "curve, j", [("ellipse", 7), ("ellipse", 40), ("disk", 5), ("disk", 80)]
-    )
-    def test_taylor_tables_match_dense_formula(
-        self, curve, j, disk_spectrum, ellipse_spectrum
-    ):
-        # the two-level e^{ikt} table and the cumulative powers reproduce
-        # one dense np.exp table and float powers of s
-        pair = (disk_spectrum if curve == "disk" else ellipse_spectrum)[j]
-        band_out = pair.extension_band()
-        rng = np.random.default_rng(j)
-        t = rng.uniform(0, 2 * np.pi, 500)
-        s = rng.uniform(-band_out, band_out, 500)
-        u, grad = pair._taylor_eval(t, s)
-
-        kv, coeff = pair._continuation()
-        M = coeff.shape[1] // 2
-        both = np.real(np.exp(1j * np.outer(t, kv)) @ coeff)
-        powers = s[:, None] ** np.arange(M)
-        ref = np.sum(both[:, :M] * powers, axis=1)
-        ref_s = np.sum(both[:, 1:M] * np.arange(1, M) * powers[:, :-1], axis=1)
-        ref_t = np.sum(both[:, M:] * powers, axis=1)
-        f = pair.curve.frame(t)
-        H = f.speed * (1.0 + f.kappa * s)
-        ref_grad = f.nu * ref_s[:, None] + f.T * (ref_t / H)[:, None]
-
-        sup = np.max(np.abs(ref))
-        assert np.max(np.abs(u - ref)) <= 2e-14 * sup
-        assert np.max(np.abs(grad - ref_grad)) <= 2e-14 * pair.eigenvalue * sup
-        if (curve, j) == ("disk", 80):  # lambda = 40 extends to r^40 trace
-            exact = (1.0 + s) ** 40 * pair.trace_at(t)
-            assert np.max(np.abs(u - exact)) <= 1e-12
-
     @pytest.mark.parametrize("budget", [2**10, 511])
     def test_block_budget_changes_no_number(
         self, budget, ellipse_spectrum, monkeypatch, uncertified
     ):
-        # Cauchy points inside and Taylor points in the exterior band (511 is
-        # below one row of the Cauchy table, N = 512)
+        # Cauchy points inside (511 is below one row of the Cauchy table,
+        # N = 512)
         pair = uncertified(ellipse_spectrum[99])
-        band_out = pair.extension_band()
-        s = np.concatenate(
-            [np.linspace(0.1, 0.9, 40) * band_out, -np.geomspace(1e-3, 0.4, 160)]
-        )
+        s = -np.geomspace(1e-3, 0.4, 160)
         t = np.linspace(0, 2 * np.pi, len(s), endpoint=False)
         f = pair.curve.frame(t)
         x = f.point + s[:, None] * f.nu
@@ -599,9 +574,17 @@ class TestExtension:
         assert np.max(np.abs(g - g0)) <= 1e-14 * np.max(np.abs(g0))
 
     def test_outside_band_rejected(self, disk_spectrum):
+        # a point beyond the round-off band outside the curve is rejected,
+        # whether evaluate_many projects it or is given its tube coordinates
         pair = disk_spectrum[5]
-        with pytest.raises(OutOfDomainError):
-            pair.evaluate(np.array([1.5, 0.0]))
+        t = np.array([0.7])
+        for s in (1e-9, 0.5):
+            assert s > pair.curve.round_off
+            x = pair.curve.point(t) + s * pair.curve.normal(t)
+            with pytest.raises(OutOfDomainError):
+                pair.evaluate(x[0])
+            with pytest.raises(OutOfDomainError):
+                pair.evaluate_many(x, t, np.array([s]))
 
     def test_laplace_residual_interior(self, ellipse_spectrum):
         # 5-point FD Laplacian at interior points is near zero
@@ -699,24 +682,16 @@ class TestCertifiedPolynomial:
             assert np.max(np.abs(g - ref_g)) <= 1e-11 * pair.eigenvalue * sup
 
     def test_forced_fallback_reads_the_kernels(self, ellipse_spectrum, uncertified):
-        # without a certificate every interior point reads the Cauchy formula
-        # and every point of the exterior band the Taylor series, bit for bit
+        # without a certificate every point near the curve and deep inside
+        # reads the Cauchy formula, bit for bit
         pair = uncertified(ellipse_spectrum[7])
-        band_out = pair.extension_band()
         t = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
         f = pair.curve.frame(t)
-        s_near = np.r_[np.full(15, 0.5 * band_out), np.full(15, -0.5 * band_out)]
-        x_near = f.point + s_near[:, None] * f.nu
-        x_deep = interior_points(pair.curve, 0.3, 30, 7)
-        u, g = pair.evaluate_many(np.concatenate([x_near, x_deep]))
+        x = np.concatenate([f.point - 0.01 * f.nu, interior_points(pair.curve, 0.3, 30, 7)])
+        u, g = pair.evaluate_many(x)
         assert pair._cont["poly"] is None
-        t_out, s_out, _ = pair.curve.nearest_point_many(x_near[:15])
-        ref = [
-            pair._taylor_eval(t_out, s_out),
-            pair._cauchy_eval(np.concatenate([x_near[15:], x_deep])),
-        ]
-        assert np.array_equal(u, np.concatenate([ref[0][0], ref[1][0]]))
-        assert np.array_equal(g, np.concatenate([ref[0][1], ref[1][1]]))
+        ref_u, ref_g = pair._cauchy_eval(x)
+        assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
 
     @pytest.mark.parametrize("j", [5, 24, 80])
     def test_cauchy_disk_modes_exact(self, j, disk_spectrum, uncertified):
@@ -743,18 +718,6 @@ class TestCertifiedPolynomial:
         assert np.max(np.abs(u - r**k * f)) <= 1e-13 * sup
         assert np.max(np.abs(g - want)) <= 5e-13 * k * sup
 
-    def test_exterior_band_reads_the_taylor_series(self, ellipse_spectrum):
-        pair = ellipse_spectrum[7]
-        band_out = pair.extension_band()
-        t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
-        f = pair.curve.frame(t)
-        x = np.concatenate([f.point + 0.5 * band_out * f.nu, 0.5 * f.point])
-        u, g = pair.evaluate_many(x)
-        assert pair._poly() is not None
-        tb, sb, _ = pair.curve.nearest_point_many(x[:40])
-        ref_u, ref_g = pair._taylor_eval(tb, sb)
-        assert np.array_equal(u[:40], ref_u) and np.array_equal(g[:40], ref_g)
-
     @pytest.mark.parametrize("j", [3, 8, 40])
     def test_uncertified_curve_falls_back(self, j, rough_spectrum):
         # perturbed_disk(0.2, 5) is not a polynomial to 1e-13 at degree 256
@@ -767,15 +730,17 @@ class TestCertifiedPolynomial:
         assert pair._cont["poly"] is None  # the failure is cached
 
     def test_outside_band_rejected_with_interior_points(self, ellipse_spectrum):
+        # one point 1e-9 outside the curve, beyond its round-off band,
+        # rejects the whole call
         pair = ellipse_spectrum[7]
         assert pair._poly() is not None
-        band_out = pair.extension_band()
         t = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         f = pair.curve.frame(t)
-        x = np.concatenate([0.5 * f.point, f.point[:1] + 1.5 * band_out * f.nu[:1]])
+        x = np.concatenate([0.5 * f.point, f.point[:1] + 1e-9 * f.nu[:1]])
         with pytest.raises(OutOfDomainError):
             pair.evaluate_many(x)
-        s = np.r_[np.full(8, -0.1), 1.5 * band_out]
+        _, s, _ = pair.curve.nearest_point_many(x)
+        assert s[-1] > pair.curve.round_off
         with pytest.raises(OutOfDomainError):
             pair.evaluate_many(x, np.r_[t, t[0]], s)
 
@@ -792,12 +757,11 @@ class TestInsideRouting:
         spectra = {"ellipse": ellipse_spectrum, "disk": disk_spectrum}
         pair = spectra.get(curve, rough_spectrum)[j]
         assert (pair._poly() is None) == (curve == "rough")
-        band_out = pair.extension_band()
         rng = np.random.default_rng(j)
         f = pair.curve.frame(rng.uniform(0.0, 2 * np.pi, 1500))
         off = np.concatenate([
             rng.choice([-1.0, 1.0], 500) * 10 ** rng.uniform(-16, -12, 500),
-            rng.uniform(0.0, band_out, 500),
+            rng.uniform(0.0, 0.5 * pair.curve.round_off, 500),
             -rng.uniform(0.0, 0.05, 500),
         ])
         x = np.concatenate([
@@ -809,6 +773,27 @@ class TestInsideRouting:
         u, g = pair.evaluate_many(x)
         ref_u, ref_g = pair.evaluate_many(x, t, s)
         assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
+
+    @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("rough", 7)])
+    def test_round_off_outside_reads_evaluate_inside(
+        self, curve, j, ellipse_spectrum, rough_spectrum
+    ):
+        # points at most curve.round_off outside the curve read the interior
+        # evaluator bit for bit, projected or given t and s; an offset of
+        # exactly round_off is accepted
+        pair = {"ellipse": ellipse_spectrum, "rough": rough_spectrum}[curve][j]
+        tol = pair.curve.round_off
+        rng = np.random.default_rng(j)
+        f = pair.curve.frame(rng.uniform(0.0, 2 * np.pi, 200))
+        x = f.point + rng.uniform(0.0, 0.5 * tol, 200)[:, None] * f.nu
+        t, s, _ = pair.curve.nearest_point_many(x)
+        assert np.any(s > 0) and np.all(s <= tol)
+        ref_u, ref_g = pair.evaluate_inside(x)
+        for got in (
+            pair.evaluate_many(x), pair.evaluate_many(x, t, s),
+            pair.evaluate_many(x, t, np.full(len(x), tol)),
+        ):
+            assert np.array_equal(got[0], ref_u) and np.array_equal(got[1], ref_g)
 
     @staticmethod
     def projected_by_domain_mass(pair, monkeypatch):
@@ -960,7 +945,7 @@ class TestInteriorBound:
             interior_sup_bound_check(disk_spectrum[3], (0.8, 0.0), 0.5)
 
     def test_ball_outside_the_curve_rejected(self, disk_spectrum):
-        # 0.06 from the curve, but outside: only the exterior band is there
+        # a ball 0.06 outside the curve
         with pytest.raises(OutOfDomainError):
             interior_sup_bound_check(disk_spectrum[3], (1.06, 0.0), 0.03)
 
