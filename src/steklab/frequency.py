@@ -212,7 +212,7 @@ def h_of_r(field, center, r):
     return _refine(quad, 64, 4096, _QUAD_RTOL)
 
 
-def _disk_integral(integrand, center, r, tol=_QUAD_RTOL):
+def _disk_integral(integrand, center, r):
     _check_radius(r)
     # 24 to 96 radial nodes; the 64 angular nodes double with the radial ones
 
@@ -220,7 +220,7 @@ def _disk_integral(integrand, center, r, tol=_QUAD_RTOL):
         theta = np.linspace(0.0, TWO_PI, 64 * (n_r // 24), endpoint=False)
         return _polar_integral(integrand, center, theta, r, n_r)
 
-    return _refine(quad, 24, 96, tol)
+    return _refine(quad, 24, 96, _QUAD_RTOL)
 
 
 def d_of_r(field, center, r):
@@ -491,7 +491,10 @@ def v_transform(pair, tube):
 
     The coefficient field carries alpha, gamma and K, its check_assumptions
     measured on a probe set of the collar: 64 rim points at offsets of
-    -0.6, -0.2, 0.2 and 0.6 times the tube half-width.
+    -0.6, -0.2, 0.2 and 0.6 times the tube half-width. The v field carries
+    its collar as vfield.tube: solid-mode nodal.doubling_profile reads the
+    half-width there and integrates v^2 in tube coordinates
+    (nodal.solid_mass), without calling the field.
     """
     if not isinstance(tube, TubeNeighborhood):
         raise TypeError("expected a TubeNeighborhood")
@@ -551,6 +554,7 @@ def v_transform(pair, tube):
         return A, b, lam**2 - lam * lap_d
 
     vfield, cfield = ScalarField(v_func), CoefficientField(coeff_func)
+    vfield.tube = tube
     # record empirical bounds on a boundary-collar probe set
     tt = np.linspace(0, TWO_PI, 64, endpoint=False)
     offs = np.array([-0.6, -0.2, 0.2, 0.6]) * delta

@@ -196,12 +196,18 @@ def max_doubling_exponent(pair, n_centers=8, radii_per_octave=4, octaves=3.0):
     and all centers and radii go in one nodal.boundary_mass call. A center
     with no mass at the smallest radius, or whose exponents hold a NaN, is
     skipped as degenerate; DegenerateCenterError if every center is.
+    ValueError if r_min = r_max / 2**octaves is 0 in floating point.
     """
     if not (isinstance(n_centers, (int, np.integer)) and n_centers > 0):
         raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
     lam_eff = max(pair.eigenvalue, 1.0)
     r_max = min(0.5 * pair.curve.max_tube_halfwidth(), 1.0 / lam_eff)
-    r_min = r_max / 2.0**octaves
+    try:
+        r_min = r_max / 2.0**octaves
+    except OverflowError:
+        r_min = 0.0
+    if r_min == 0:
+        raise ValueError(f"octaves = {octaves!r} takes r_min = r_max / 2**octaves to 0")
     radii = nodal.doubling_radii(r_min, r_max, radii_per_octave)
     centers = pair.curve.point(np.linspace(0.0, TWO_PI, n_centers, endpoint=False))
     masses = nodal.boundary_mass(pair, centers, radii)
@@ -227,6 +233,19 @@ def run_scaling_study(config, spectrum=None):
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     if not (isinstance(samples, (int, np.integer)) and samples >= 0):
         raise ValueError(f"samples must be an integer >= 0 (0: automatic), got {samples!r}")
+    k, octaves = config.radii_per_octave, config.octaves
+    if not (isinstance(k, (int, np.integer)) and k > 0):
+        raise ValueError(
+            f"radii_per_octave (the sweep's steps_per_octave) must be a positive "
+            f"integer, got {k!r}"
+        )
+    # r_max <= 1 and 2**-1074 is the least positive float, so more octaves
+    # take r_min = r_max / 2**octaves to 0
+    if not 0 < octaves <= 1074:
+        raise ValueError(
+            f"octaves must be positive and keep r_min = r_max / 2**octaves above 0, "
+            f"got {octaves!r}"
+        )
     count = j_max + 1
     if spectrum is None:
         spectrum = solve_spectrum(build_dtn(config.curve(), n_nodes), count)

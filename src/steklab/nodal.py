@@ -7,8 +7,9 @@ Newton (_roots), the one root kernel that also finds the ball-curve edges
 and the ray exits below. Mass doubling ratios are measured
 both along the boundary (arclength integrals of u^2 over Euclidean balls
 intersected with the curve, any number of centers and radii in one pass)
-and on solid balls, and a net search locates a boundary point whose small
-ball carries a fixed fraction of the total mass.
+and on solid balls (v^2 of the reflected transform in tube coordinates),
+and a net search locates a boundary point whose small ball carries a fixed
+fraction of the total mass.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 from .errors import (
     DegenerateCenterError,
     OutOfDomainError,
+    OutOfTubeError,
     RegionError,
     UndersampledError,
 )
-from .frequency import _disk_integral, _gauss, _polar_integral, _refine
+from .frequency import _gauss, _polar_integral, _refine
 from .geometry import norm2
 
 TWO_PI = 2.0 * np.pi
@@ -336,11 +338,112 @@ def boundary_mass(pair, center, r):
 # -- solid masses ----------------------------------------------------------------------
 
 
-def solid_mass_v(vfield, center, r):
-    """Integral of v^2 over the full ball B(center, r) inside the collar."""
-    return _disk_integral(
-        lambda p: vfield(p)[0] ** 2, np.asarray(center, dtype=float), r, tol=1e-9
+def _normal_line_ends(curve, c, tx, sign, r):
+    """Parameters t = tx + sign tau, tau >= 0, where b(t) = (gamma(t) - c) . T(t)
+    reaches sign r, one per entry, each from a circle-curve crossing tx where
+    |b| <= r: the ends of the t-range whose normal lines meet the ball.
+    b' = |gamma'| (1 - kappa (gamma - c) . nu) > 0 inside the collar, so each
+    end is the one root of sign b - r beyond tx. tau doubles from twice its
+    Newton step at tx until the sign changes, and _roots refines it to float
+    resolution; ValueError if tau passes 2 pi."""
+
+    def gd(tau, i):
+        f = curve.frame(tx[i] + sign[i] * tau)
+        p = f.point - c
+        dg = f.speed * (1.0 - f.kappa * np.einsum("ij,ij->i", p, f.nu))
+        return sign[i] * np.einsum("ij,ij->i", p, f.T) - r[i], dg
+
+    g0, dg0 = gd(np.zeros(len(tx)), np.arange(len(tx)))
+    tau = np.zeros(len(tx))
+    i = np.flatnonzero(g0 < 0)  # the others end at their crossing
+    hi = np.maximum(-2.0 * g0[i] / np.abs(dg0[i]), 1e-12)
+    ghi = gd(hi, i)[0]
+    while np.any(ghi < 0):
+        k = np.flatnonzero(ghi < 0)
+        hi[k] *= 2.0
+        if np.any(hi[k] > TWO_PI):
+            raise ValueError("the t-range of a ball does not end within one turn")
+        ghi[k] = gd(hi[k], i[k])[0]
+    tau[i] = _roots(lambda x, j: gd(x, i[j]), np.zeros(len(i)), hi, g0[i], ghi, 0.0)
+    return tx + sign * tau
+
+
+def solid_mass(pair, center, radii, delta):
+    """Integral of v^2 over the ball B(center, r) for each radius r, where
+    v = u exp(lambda d) is the eigenfunction reflected across the curve
+    (frequency.v_transform) and the collar has half-width delta.
+
+    center is one point on the curve; radii is a radius or an array of
+    them, giving a float or masses shaped like radii. In tube coordinates
+    x = gamma(t) + s nu(t) the area element is |gamma'| (1 + kappa s) dt ds
+    and v^2 = u(gamma(t) - |s| nu(t))^2 exp(2 lambda |s|), so every point
+    reads u at its mirror point through pair.evaluate_inside
+    (gradient=False) and nothing is projected. With a = (gamma - c) . nu,
+    b = (gamma - c) . T and D = r^2 - b^2, the ball's chord on the normal
+    line at t is -a - sqrt(D) < s < -a + sqrt(D), and the t-range runs
+    between the roots of b = -r and b = r next to the ball's two crossings
+    of the curve (_normal_line_ends). The whole range is mapped as
+    t = m - h cos theta, 0 <= theta <= pi, which makes sqrt(D) smooth at
+    both ends; theta is split at the two crossings (_ball_curve_intervals)
+    and s at 0 between them, where v has its kink: four Gauss-Legendre
+    pieces of n x n nodes. All radii go through one _refine, n = 16 against
+    32 and 64 to relative 1e-11, which warns if a mass is still open.
+
+    Raises ValueError unless every radius is positive and finite, and
+    unless each ball meets the curve in one arc about the foot point of
+    the center; OutOfTubeError when a chord reaches |s| > delta at a t node
+    of the rule, where the ball leaves the collar."""
+    radii = np.asarray(radii, dtype=float)
+    if not np.all((radii > 0) & (radii < np.inf)):
+        raise ValueError(f"ball radii must be positive and finite, got {radii}")
+    curve, lam = pair.curve, pair.eigenvalue
+    c = np.asarray(center, dtype=float)
+    r = radii.reshape(-1)
+    R = len(r)
+    tc = curve.nearest_point_many(c)[0][0]
+    owner, a, b = _ball_curve_intervals(curve, c, r)
+    t1 = tc - (tc - a) % TWO_PI  # the crossings, unwrapped about tc
+    t2 = t1 + (b - a)
+    one_arc = np.all(np.bincount(owner, minlength=R) == 1) and np.all(t2 > tc)
+    if not (one_arc and np.all(b - a < TWO_PI)):
+        raise ValueError("a ball does not meet the curve in one arc about the center's foot point")
+    ends = _normal_line_ends(
+        curve, c, np.concatenate([t1, t2]), np.repeat([-1.0, 1.0], R), np.tile(r, 2)
     )
+    m, h = 0.5 * (ends[R:] + ends[:R]), 0.5 * (ends[R:] - ends[:R])
+    th1 = np.arccos(np.clip((m - t1) / h, -1.0, 1.0))
+    th2 = np.arccos(np.clip((m - t2) / h, -1.0, 1.0))
+    # theta pieces (radius, piece): outside the arc, its inner and outer
+    # halves s < 0 and s > 0, outside the arc again
+    lo_th = np.stack([np.zeros(R), th1, th1, th2], axis=1)
+    hi_th = np.stack([th1, th2, th2, np.full(R, np.pi)], axis=1)
+    piece = np.arange(4)[:, None]
+
+    def quad(n, i):
+        nodes, wts = _gauss(n)
+        half = 0.5 * (hi_th[i] - lo_th[i])[..., None]
+        theta = lo_th[i][..., None] + half * (nodes + 1.0)  # (radius, piece, node)
+        mk, hk, rk = (v[i][:, None, None] for v in (m, h, r))
+        f = curve.frame(mk - hk * np.cos(theta))
+        p = f.point - c
+        ak = np.einsum("...i,...i->...", p, f.nu)
+        bk = np.einsum("...i,...i->...", p, f.T)
+        w = np.sqrt(np.maximum((rk - bk) * (rk + bk), 0.0))
+        if np.any(np.abs(ak) + w > delta * (1 + 1e-12)):
+            raise OutOfTubeError("a ball leaves the reflected collar")
+        s_lo = np.where(piece == 2, 0.0, -ak - w)
+        sh = 0.5 * (np.where(piece == 1, 0.0, -ak + w) - s_lo)
+        s = (s_lo + sh)[..., None] + sh[..., None] * nodes  # (radius, piece, node, node)
+        d = np.abs(s)
+        x = f.point[..., None, :] - d[..., None] * f.nu[..., None, :]
+        u = pair.evaluate_inside(x.reshape(-1, 2), gradient=False).reshape(d.shape)
+        v2 = u**2 * np.exp(2.0 * lam * d)
+        inner = np.sum(wts * v2 * (1.0 + f.kappa[..., None] * s), axis=-1)
+        dt = half * wts * hk * np.sin(theta) * f.speed
+        return np.sum(dt * sh * inner, axis=(1, 2))
+
+    masses = _refine(quad, 16, 64, 1e-11)
+    return masses.reshape(radii.shape) if radii.ndim else float(masses[0])
 
 
 def _cross(d, p):
@@ -609,21 +712,32 @@ def doubling_profile(pair, center, r_min, r_max, mode="boundary", vfield=None,
     (doubling_radii).
 
     Boundary mode integrates u^2 over ball-curve intersections, all radii in
-    one boundary_mass call; solid mode integrates v^2 over full balls (the
-    transform field must be supplied).
+    one boundary_mass call. Solid mode integrates v = u exp(lambda d),
+    reflected across the curve, over full balls, all radii in one
+    solid_mass call in tube coordinates. It needs the v field of
+    frequency.v_transform only for its collar, vfield.tube: the tube must
+    lie on the pair's curve (else ValueError), and every ball must stay
+    inside it (else OutOfTubeError) and meet the curve in one arc about
+    the center's foot point (else ValueError), so the center lies on the
+    curve. The masses are those of the pair's own v.
     """
     radii = doubling_radii(r_min, r_max, steps_per_octave)
     if mode not in ("boundary", "solid"):
         raise ValueError("mode must be 'boundary' or 'solid'")
-    if mode == "solid" and vfield is None:
-        raise ValueError("solid mode needs the transformed field")
+    tube = getattr(vfield, "tube", None)
+    if mode == "solid" and tube is None:
+        raise ValueError("solid mode needs the transformed field of v_transform")
+    if mode == "solid" and tube.curve is not pair.curve and (
+        tube.curve.content_hash() != pair.curve.content_hash()
+    ):
+        raise ValueError("the transformed field's tube lies on another curve")
     center = np.asarray(center, dtype=float)
     n, k = len(radii), steps_per_octave
 
     if mode == "boundary":
         masses = boundary_mass(pair, center, radii)
     else:
-        masses = np.array([solid_mass_v(vfield, center, r) for r in radii])
+        masses = solid_mass(pair, center, radii, tube.delta)
     if masses[0] <= 0:
         raise DegenerateCenterError("no mass at the smallest radius")
 

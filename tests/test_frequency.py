@@ -29,7 +29,6 @@ from steklab.frequency import (
     zero_coefficients,
 )
 from steklab.frequency import _ball_mean, _disk_integral, _gauss, _refine
-from steklab.nodal import solid_mass_v
 from steklab.steklov import SteklovEigenpair, build_dtn, solve_spectrum
 
 
@@ -393,7 +392,7 @@ class TestQuadratureRules:
     @pytest.mark.parametrize("r", [-0.5, 0.0, np.nan, np.inf])
     def test_radius_must_be_positive_and_finite(self, deg3, r):
         quads = (
-            h_of_r, d_of_r, _ball_mean, solid_mass_v,
+            h_of_r, d_of_r, _ball_mean,
             lambda f, c, r: i_of_r(f, zero_coefficients(), c, r),
         )
         for quad in quads:

@@ -156,6 +156,12 @@ class TestDoublingSweep:
         want = sweep_outcome(per_center_sweep, pair, **kwargs)
         assert sweep_outcome(max_doubling_exponent, pair, **kwargs) == want
 
+    @pytest.mark.parametrize("octaves", [1100.0, 1e6])
+    def test_octaves_past_the_float_range_raise(self, octaves, disk_spectrum):
+        # 2**1100 overflows and r_max / 2**1100 would be 0 anyway
+        with pytest.raises(ValueError, match="octaves"):
+            max_doubling_exponent(disk_spectrum[9], n_centers=2, octaves=octaves)
+
     @pytest.mark.parametrize("bad", [[1], [0, 2, 5], [0, 1, 2, 3, 4, 5]])
     def test_degenerate_centers_as_the_loop(self, bad, ellipse_spectrum, monkeypatch):
         # centers given no mass at the smallest radius, or one NaN mass;
@@ -362,6 +368,10 @@ class TestCli:
         ({"octaves": "3"}, "octaves"),
         ({"j_max": True}, "j_max"),
         ({"outdir": None}, "outdir"),
+        # sweep ranges: r_min = r_max / 2**octaves must stay a positive float
+        ({"j_max": 4, "octaves": 1e6}, "octaves"),
+        ({"j_max": 4, "octaves": -1}, "octaves"),
+        ({"j_max": 4, "radii_per_octave": 0}, "radii_per_octave"),
     ])
     def test_bad_scaling_config_exit_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "cfg.json"

@@ -9,10 +9,11 @@ from steklab import geometry, nodal
 from steklab.errors import (
     DegenerateCenterError,
     OutOfDomainError,
+    OutOfTubeError,
     RegionError,
     UndersampledError,
 )
-from steklab.frequency import v_transform
+from steklab.frequency import _polar_integral, v_transform
 from steklab.steklov import SteklovEigenpair, build_dtn, solve_spectrum
 from steklab.nodal import (
     _ball_curve_intervals,
@@ -25,7 +26,7 @@ from steklab.nodal import (
     domain_mass,
     doubling_profile,
     nyquist_guard,
-    solid_mass_v,
+    solid_mass,
     special_point_search,
 )
 
@@ -342,6 +343,8 @@ class TestBoundaryMassBatch:
 
 class UnitField:
     """Stand-in eigenpair u = 1 on a curve; counts the points it evaluates."""
+
+    eigenvalue = 0.0
 
     def __init__(self, curve):
         self.curve = curve
@@ -804,14 +807,117 @@ class TestSolidMasses:
         with pytest.raises(ValueError, match="positive and finite"):
             clipped_ball_mass(UnitField(curve), (0.2, 0.0), r, n_r=20, n_theta=96)
 
-    def test_solid_mass_v_positive(self, ellipse_spectrum):
-        pair = ellipse_spectrum[5]
-        tube = geometry.TubeNeighborhood(pair.curve, 0.3)
+
+
+def polar_solid_mass(vfield, center, r):
+    """Test-only reference: v^2 of the projected v field (each point through
+    nearest_point_many) on a 192 x 512 polar Gauss-Legendre grid about the
+    center."""
+    theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+    return _polar_integral(lambda p: vfield(p)[0] ** 2, center, theta, r, 192)
+
+
+@pytest.fixture(scope="module")
+def rough_pair():
+    """perturbed_disk(0.2, 5) pair 7 at N = 256: no polynomial certificate,
+    so u inside is read by the Cauchy formula."""
+    pair = solve_spectrum(build_dtn(geometry.perturbed_disk(0.2, 5), 256), 8)[7]
+    assert pair._poly() is None
+    return pair
+
+
+def half_reach_tube(curve):
+    return geometry.TubeNeighborhood(curve, 0.5 * curve.max_tube_halfwidth())
+
+
+class TestTubeSolidMass:
+    # (pair, center parameter, sign of the curvature there): the certified
+    # ellipse, and the uncertified rough disk on a convex and a concave arc
+    @pytest.mark.parametrize("case,t0,sign", [
+        ("ellipse", 0.1, 1), ("rough", 3.69, 1), ("rough", 1.9, -1),
+    ])
+    def test_matches_polar_reference(self, ellipse_spectrum, rough_pair, case, t0, sign):
+        pair = ellipse_spectrum[7] if case == "ellipse" else rough_pair
+        curve = pair.curve
+        assert np.sign(curve.frame(np.array([t0])).kappa[0]) == sign
+        tube = half_reach_tube(curve)
         vfield, _ = v_transform(pair, tube)
-        t0 = 0.8
-        center = pair.curve.point(np.array([t0]))[0]
-        m = solid_mass_v(vfield, center, 0.1)
-        assert m > 0
+        center = curve.point(np.array([t0]))[0]
+        r = 0.4 * tube.delta
+        got = solid_mass(pair, center, r, tube.delta)
+        want = polar_solid_mass(vfield, center, r)
+        assert abs(got / want - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["disk", "ellipse(2,1)"])
+    def test_constant_integrand_gives_the_ball_area(self, spec):
+        # u = 1 and lambda = 0: v^2 = 1, so each mass is pi r^2
+        curve = geometry.builtin_curve(spec)
+        delta = 0.5 * curve.max_tube_halfwidth()
+        radii = np.array([0.05, 0.2, 0.4]) * delta
+        for t0 in (0.0, 0.4, 2.0):
+            center = curve.point(np.array([t0]))[0]
+            got = solid_mass(UnitField(curve), center, radii, delta)
+            np.testing.assert_allclose(got, np.pi * radii**2, rtol=1e-14)
+
+    def test_projects_only_the_center(self, ellipse_spectrum, monkeypatch):
+        calls = []
+        nearest = geometry.BoundaryCurve.nearest_point_many
+
+        def recording(self, x):
+            calls.append(len(np.atleast_2d(x)))
+            return nearest(self, x)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "nearest_point_many", recording)
+        pair = ellipse_spectrum[7]
+        center = pair.curve.point(np.array([0.5]))[0]
+        masses = solid_mass(pair, center, np.array([0.02, 0.04, 0.08]), 0.25)
+        assert calls == [1] and masses.shape == (3,) and np.all(np.diff(masses) > 0)
+
+    def test_ball_past_the_collar_raises(self, ellipse_spectrum):
+        pair = ellipse_spectrum[7]
+        center = pair.curve.point(np.array([0.5]))[0]
+        with pytest.raises(OutOfTubeError):
+            solid_mass(pair, center, 0.3, 0.25)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, ellipse_spectrum, r):
+        pair = ellipse_spectrum[7]
+        center = pair.curve.point(np.array([0.5]))[0]
+        with pytest.raises(ValueError, match="positive and finite"):
+            solid_mass(pair, center, np.array([0.05, r]), 0.25)
+
+    @pytest.mark.parametrize("center,r", [
+        ((0.0, 0.0), 0.2),  # inside, off the curve: the ball meets no arc
+        ((0.0, 1.0), 2.1),  # two arcs of the ellipse
+    ])
+    def test_ball_must_meet_one_arc(self, ellipse_curve, center, r):
+        with pytest.raises(ValueError, match="one arc"):
+            solid_mass(UnitField(ellipse_curve), center, r, 0.25)
+
+    def test_capped_refinement_warns(self):
+        # u jumps across x = 0.97 inside the unit disk: 64 nodes do not settle it
+        class StepField(UnitField):
+            def evaluate_inside(self, pts, gradient=True):
+                return 1.0 + (pts[:, 0] > 0.97)
+
+        curve = geometry.disk()
+        with pytest.warns(RuntimeWarning, match="unconverged at n = 64"):
+            got = solid_mass(StepField(curve), (1.0, 0.0), 0.1, 0.5)
+        assert np.pi * 0.01 < got < 4 * np.pi * 0.01
+
+    def test_doubling_profile_reads_the_tube(self, ellipse_spectrum, disk_spectrum):
+        pair = ellipse_spectrum[7]
+        tube = half_reach_tube(pair.curve)
+        vfield, _ = v_transform(pair, tube)
+        center = pair.curve.point(np.array([0.5]))[0]
+        rep = doubling_profile(pair, center, 0.02, 0.08, mode="solid", vfield=vfield)
+        np.testing.assert_array_equal(rep.masses, solid_mass(pair, center, rep.radii, tube.delta))
+        with pytest.raises(ValueError, match="v_transform"):
+            doubling_profile(pair, center, 0.02, 0.08, mode="solid",
+                             vfield=lambda p: (np.ones(len(p)), None))
+        other, _ = v_transform(disk_spectrum[7], half_reach_tube(disk_spectrum[7].curve))
+        with pytest.raises(ValueError, match="another curve"):
+            doubling_profile(pair, center, 0.02, 0.08, mode="solid", vfield=other)
 
 
 class TestDoubling:
