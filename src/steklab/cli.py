@@ -59,6 +59,8 @@ def cmd_nodal(args):
 
 
 def cmd_doubling(args):
+    if not np.isfinite(args.center_t):
+        raise ValueError(f"--center-t must be finite, got {args.center_t}")
     curve = geometry.curve_from_spec(args.domain)
     spectrum = solve_spectrum(build_dtn(curve, args.nodes), args.index + 1)
     pair = spectrum[args.index]

@@ -460,13 +460,14 @@ def v_transform(pair, tube):
 
     A call of either field reads one tube frame of its points, from one
     nearest_point_many call and one BoundaryCurve.frame call at its foot
-    parameters. The v field passes the frame's foot parameters and depths to
-    evaluate_many, which does not project again, and the coefficient field
-    returns (A, b, c) from its one frame. In the frame, x = gamma(t) + s nu(t)
-    with s the signed offset, T the unit tangent, nu the outward normal,
-    kappa the curvature, kappa_sigma = kappa'(t) / |gamma'(t)| its arclength
-    derivative, and mu = (1 + kappa s)/(1 - kappa s) the tangential stretch
-    of the reflection Psi: gamma(t) - s nu -> gamma(t) + s nu.
+    parameters. The v field reads u at mirror points, inside the curve by
+    construction, through evaluate_inside, which does not project again;
+    the coefficient field returns (A, b, c) from its one frame. In the
+    frame, x = gamma(t) + s nu(t) with s the signed offset, T the unit
+    tangent, nu the outward normal, kappa the curvature, kappa_sigma =
+    kappa'(t) / |gamma'(t)| its arclength derivative, and mu = (1 + kappa s)
+    / (1 - kappa s) the tangential stretch of the reflection Psi:
+    gamma(t) - s nu -> gamma(t) + s nu.
 
     A point is inside when s <= 0. There v = u exp(-lambda s), A = I,
     b = 2 lambda nu and c = lambda^2 - lambda Lap d with d = -s and
@@ -509,7 +510,7 @@ def v_transform(pair, tube):
         if np.any(s > delta * (1 + 1e-12)):
             raise OutOfTubeError("point outside the reflected collar")
         f = curve.frame(t)
-        f.t, f.s, f.outside = t, s, s > 0
+        f.s, f.outside = s, s > 0
         o = f.outside
         f.mu = np.ones_like(s)
         f.mu[o] = (1.0 + f.kappa[o] * s[o]) / (1.0 - f.kappa[o] * s[o])
@@ -521,7 +522,7 @@ def v_transform(pair, tube):
         # tube coordinates are (t, -s): every point sits at depth d = |s|
         d = np.abs(f.s)
         xm = np.where(f.outside[:, None], f.point - f.s[:, None] * f.nu, x)
-        u, gu = pair.evaluate_many(xm, f.t, -d)
+        u, gu = pair.evaluate_inside(xm)
         w = np.exp(lam * d)
         gv = w[:, None] * (gu - lam * u[:, None] * f.nu)
         # grad of v(x') = v(Psi^{-1} x'): pull back through the inverse

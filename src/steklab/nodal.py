@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCenterError,
-    OutOfDomainError,
     OutOfTubeError,
     RegionError,
     UndersampledError,
@@ -297,6 +296,15 @@ def _ball_curve_intervals(curve, center, radii):
     return owner[by], a[by], b[by]
 
 
+def _finite_centers(center):
+    """center as (C, 2) points; ValueError naming the first not finite."""
+    centers = np.atleast_2d(center)
+    bad = ~np.isfinite(centers).all(axis=1)
+    if bad.any():
+        raise ValueError(f"ball center {centers[bad][0]} is not finite")
+    return centers
+
+
 def boundary_mass(pair, center, r):
     """Arclength integral of u^2 over the Euclidean ball of radius r about
     center, intersected with the boundary curve.
@@ -309,14 +317,14 @@ def boundary_mass(pair, center, r):
     trace_at call per refinement level on the intervals still open. Each
     mass is, bit for bit, that of a call for its center alone. Raises
     ValueError unless every radius is positive (an infinite one holds the
-    whole curve).
+    whole curve) and every center is finite.
     """
     radii = np.asarray(r, dtype=float)
     if not np.all(radii > 0):
         raise ValueError(f"ball radii must be positive, got {r}")
     center = np.asarray(center, dtype=float)
     curve = pair.curve
-    owner, a, b = _ball_curve_intervals(curve, center, radii.reshape(-1))
+    owner, a, b = _ball_curve_intervals(curve, _finite_centers(center), radii.reshape(-1))
     shape = (len(center),) + radii.shape if center.ndim == 2 else radii.shape
     masses = np.zeros(int(np.prod(shape)))
     if len(owner):
@@ -389,10 +397,10 @@ def solid_mass(pair, center, radii, delta):
     pieces of n x n nodes. All radii go through one _refine, n = 16 against
     32 and 64 to relative 1e-11, which warns if a mass is still open.
 
-    Raises ValueError unless every radius is positive and finite, and
-    unless each ball meets the curve in one arc about the foot point of
-    the center; OutOfTubeError when a chord reaches |s| > delta at a t node
-    of the rule, where the ball leaves the collar."""
+    Raises ValueError unless every radius is positive and finite, the
+    center is finite and each ball meets the curve in one arc about the
+    foot point of the center; OutOfTubeError when a chord reaches
+    |s| > delta at a t node of the rule, where the ball leaves the collar."""
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii > 0) & (radii < np.inf)):
         raise ValueError(f"ball radii must be positive and finite, got {radii}")
@@ -400,7 +408,7 @@ def solid_mass(pair, center, radii, delta):
     c = np.asarray(center, dtype=float)
     r = radii.reshape(-1)
     R = len(r)
-    tc = curve.nearest_point_many(c)[0][0]
+    tc = curve.nearest_point_many(_finite_centers(c))[0][0]
     owner, a, b = _ball_curve_intervals(curve, c, r)
     t1 = tc - (tc - a) % TWO_PI  # the crossings, unwrapped about tc
     t2 = t1 + (b - a)
@@ -483,71 +491,47 @@ def _ray_brackets(curve, centers, theta, dirs, sel, near, band):
     return ci[s] * n + ray[keep], node[s, k], ga[keep], gb[keep]
 
 
-def _ray_extents(curve, center, theta, r, t=None):
+def _ray_extents(curve, centers, t, theta, r):
     """First exit from the domain of each ray c + rho (cos theta, sin theta)
-    from each center c, capped at r, or 0 for a ray that starts outside.
-
-    center is one point (2,), giving (n,) extents, or C points (C, 2),
-    giving (C, n); theta is ascending and spans less than 2 pi. One
-    proposal, one _roots call and one decision serve every center of a
-    block: centers go in blocks of at most _RAY_BLOCK (center, ray)
-    entries, so memory stays bounded for any net (the special-point nets
-    of up to 65 centers x 96 rays are one block).
+    from each center c, within curve.round_off of gamma(t), capped at r, or
+    0 for a ray that leaves at once: (C, n) extents for C centers (C, 2),
+    their curve parameters t (C,) and n ascending angles theta spanning
+    less than 2 pi.
+    Centers go in blocks of at most _RAY_BLOCK (center, ray) entries, each
+    one proposal, one _roots call and one decision, so memory stays bounded.
 
     A ray crosses the curve where g(t) = d x (gamma(t) - c) changes sign,
     and the crossing is an exit when g rises through it (d . nu > 0). The
     blocks of curve.probe_blocks (runs of probe segments, each in a circle
-    padded by the longest probe chord, pad) that a center may reach are
+    padded by the longest probe chord, pad) within r + pad of a center are
     selected; the angle of their probe points about the center proposes the
     rays that may cross each of their segments, g on the segment's two nodes
     confirms them, and bracketed Newton on g, with g' = d x gamma', refines
-    each crossing until its last step is at float resolution (_roots with
-    tol = 0). Crossings within curve.round_off of the center are dropped.
-
-    Without t every block is selected, and the first crossing of a ray
-    beyond that floor decides its side; a ray with none lies outside. So a
-    ray from a center on the curve whose exit lies in the center's own probe
-    segment, where the two crossings make no sign change, reads 0.
-    t, one curve parameter per center with |gamma(t) - c| <= curve.round_off
-    (else ValueError), selects only the blocks within r + pad of c, and the
-    crossings in the others lie beyond r + pad. The first crossing beyond
-    the floor decides as above when its rho <= r + pad; a ray with none
-    takes its side from d . nu(t): extent r if d . nu < 0, else 0. A ray in
-    the tangent band |d . nu| < 2 max|kappa| pad may have its exit hidden in
-    the center's own segment, so it also proposes every block whose circle
-    it meets, and it reads what it reads without t. With r = inf every
-    block is selected either way.
-
-    A center off the curve but nearer to it than a probe segment's sagitta
-    (7.4e-8 on the unit disk) sees that segment's arc sweep the long way
-    round, which the proposal misses, so its rays that exit there read 0.
+    each crossing to float resolution (_roots with tol = 0). Crossings
+    within curve.round_off of the center are dropped. The first crossing
+    beyond that floor with rho <= r + pad decides a ray's extent; a ray with
+    none takes its side from d . nu(t): extent r if d . nu < 0, else 0. An
+    inward ray skips entries, such as the own crossing of a center a
+    round-off outside. A ray in the tangent band |d . nu| < 2 max|kappa| pad
+    may have its exit hidden in the center's own segment, so it also
+    proposes every block whose circle it meets, and its first crossing
+    beyond the floor, entry or exit, decides at any rho. A band ray with
+    none reads 0, as does one whose exit lies in the center's own probe
+    segment, where the two crossings make no sign change.
     """
-    center = np.asarray(center, dtype=float)
-    centers = np.atleast_2d(center)
     C, n, m = len(centers), len(theta), len(curve.probe_t)
-    if t is not None:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.shape != (C,):
-            raise ValueError(f"need one curve parameter per center, got {t.shape}")
     rows = max(1, _RAY_BLOCK // n)
     if C > rows:
         return np.concatenate([
-            _ray_extents(curve, centers[i:i + rows], theta, r,
-                         None if t is None else t[i:i + rows])
+            _ray_extents(curve, centers[i:i + rows], t[i:i + rows], theta, r)
             for i in range(0, C, rows)
         ])
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pad = curve.probe_chord
-    inward = band = np.zeros((C, n), dtype=bool)
-    reach = np.inf
-    if t is not None:
-        f = curve.frame(t)
-        if not np.all(norm2(f.point - centers) <= curve.round_off):
-            raise ValueError("a center is not gamma(t) of its parameter t")
-        dn = f.nu @ dirs.T
-        band = np.abs(dn) < 2.0 * curve.max_abs_curvature * pad
-        inward = (dn < 0) & ~band
-        reach = r + pad
+    dn = curve.frame(t).nu @ dirs.T
+    band = np.abs(dn) < 2.0 * curve.max_abs_curvature * pad
+    inward = (dn < 0) & ~band
+    reach = r + pad
 
     # blocks within reach of each center, and those a tangent-band ray meets
     rel = curve.probe_blocks[:, :2] - centers[:, None]
@@ -571,80 +555,72 @@ def _ray_extents(curve, center, theta, r, t=None):
     rho = np.einsum("ij,ij->i", curve.point(tr) - c, d)
 
     # the first crossing of each ray beyond the floor, and within reach
-    # unless the ray lies in the tangent band, decides its extent
+    # unless the ray lies in the tangent band, decides its extent; an
+    # inward ray outside the band skips entries
     decides = (rho > curve.round_off) & ((rho <= reach) | band.ravel()[q])
+    decides &= (ga < 0) | ~inward.ravel()[q]
     q, rho, leaves = q[decides], rho[decides], ga[decides] < 0
     order = np.lexsort((rho, q))
     head = order[np.unique(q[order], return_index=True)[1]]
     extent = np.where(inward, r, 0.0).ravel()
     extent[q[head]] = np.where(leaves[head], np.minimum(rho[head], r), 0.0)
-    return extent.reshape(C, n)[0] if center.ndim == 1 else extent.reshape(C, n)
+    return extent.reshape(C, n)
 
 
-def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256, t=None):
-    """Integral of u^2 over B(center, r) intersected with the domain.
+def clipped_ball_mass(pair, center, r, n_r=48, n_theta=256):
+    """Integral of u^2 over B(center, r) intersected with the domain, for a
+    center on the curve.
 
     center is one point, giving a float, or C points (C, 2), giving C
-    masses from one ray pass (_ray_extents) and one polar quadrature
-    (_polar_integral), both in center blocks of bounded size. Polar grid
-    about each center, with n_theta rays from angle 0. Each ray runs to its
-    first exit from the domain, capped at r, so a ray that leaves and
-    re-enters the ball's part of a non-convex domain stops at the exit. The
-    center may lie on the curve, within curve.round_off = 1e-12
-    max(diameter, 1) of it: a ray from there is inside when its first
-    crossing of the curve beyond that floor is an exit (d . nu > 0), and a
-    ray that leaves at once has extent 0 and is not evaluated.
-
-    t, optional, is the curve parameter of each center on the curve
-    (ValueError unless |gamma(t) - center| <= curve.round_off for each and
-    there is one per center). With it the ray pass proposes only the probe
-    blocks within reach of the ball, and the tangent-band rays read what
-    they read without it; see _ray_extents.
-
-    The Gauss points lie before their rays' first exits, so u is read by
+    masses from one projection (nearest_point_many), which gives each
+    center its curve parameter, one ray pass (_ray_extents: each ray runs to
+    its first exit, capped at r) and one polar quadrature (_polar_integral,
+    n_theta rays from angle 0), both in center blocks of bounded size. The
+    Gauss points lie before their rays' first exits, so u is read by
     `evaluate_inside`, values only, with no inside test (see there for a
     near-tangent ray whose computed exit is a round-off outside).
 
-    Raises OutOfDomainError when no ray of a center has a positive extent,
-    as from a center outside the domain by more than the floor, and
-    ValueError unless r is positive and finite.
+    Raises ValueError unless r is positive and finite and every center is
+    finite and within curve.round_off = 1e-12 max(diameter, 1) of the curve.
     """
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
+    centers, curve = _finite_centers(center), pair.curve
+    t, s, _ = curve.nearest_point_many(centers)
+    off = ~(np.abs(s) <= curve.round_off)
+    if off.any():
+        raise ValueError(f"ball center {centers[off][0]} does not lie on the curve")
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    extent = _ray_extents(pair.curve, center, theta, r, t)
-    outside = ~np.atleast_2d(extent).any(axis=1)
-    if outside.any():
-        raise OutOfDomainError(
-            f"ball center {np.atleast_2d(center)[outside][0]} lies outside the domain"
-        )
     return _polar_integral(
         lambda p: pair.evaluate_inside(p, gradient=False) ** 2,
-        center, theta, extent, n_r,
+        center, theta, _ray_extents(curve, centers, t, theta, r), n_r,
     )
 
 
 def domain_mass(pair):
-    """Integral of u^2 over the whole domain by centroid-star quadrature.
+    """Integral of u^2 over the whole domain in star coordinates about the
+    centroid c: x = c + s (gamma(t) - c), 0 <= s <= 1, whose area element
+    is s ((gamma - c) x gamma') ds dt.
 
     Requires the domain to be star-shaped with respect to its centroid: the
     angle of the probe points about it must increase, else RegionError. The
-    512 rays start at the angle of gamma(0) and each runs to its one exit
-    from the domain (the ray kernel of clipped_ball_mass, uncapped), with 64
-    Gauss nodes per ray. As there, u is read from `evaluate_inside`.
+    rule is the trapezoid rule on 512 equispaced t, spectrally accurate on
+    the periodic integrand, times 64 Gauss nodes in s; every node lies
+    inside, so u is read by `evaluate_inside`, values only.
     """
-    curve = pair.curve
-    center = curve.centroid
+    curve, center = pair.curve, pair.curve.centroid
     rel = curve.probe_points - center
     phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     if np.any(np.diff(phi) <= 0):
         raise RegionError("domain is not star-shaped about its centroid")
-    theta = np.linspace(phi[0], phi[0] + TWO_PI, 512, endpoint=False)
-    return _polar_integral(
-        lambda p: pair.evaluate_inside(p, gradient=False) ** 2,
-        center, theta, _ray_extents(curve, center, theta, np.inf), 64,
-    )
+    p, v = curve._series(np.linspace(0.0, TWO_PI, 512, endpoint=False), 0, 1)
+    p = p - center
+    nodes, wts = _gauss(64)
+    s = 0.5 * (nodes + 1.0)
+    x = center + s[:, None, None] * p  # (s node, t node, 2)
+    u = pair.evaluate_inside(x.reshape(-1, 2), gradient=False).reshape(len(s), len(p))
+    return float((TWO_PI / len(p)) * np.sum(_cross(p, v) * ((0.5 * wts * s) @ u**2)))
 
 
 # -- doubling profiles ------------------------------------------------------------------
@@ -794,15 +770,9 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
     them in net order wins. Raises ValueError unless rho is positive and
     below the tube half-width.
 
-    The whole net is one clipped_ball_mass call with the net's curve
-    parameters as t: one ray pass, in which each ball proposes only the
-    probe blocks within its reach and the tangent-band rays every block
-    they meet (see _ray_extents), and one polar quadrature, whose Gauss
-    points go to evaluate_inside; both take the centers in blocks of
-    bounded size. Each
-    mass is that of a call for its ball alone without t, up to how the
-    curve series rounds in batches of another size (not at all on the
-    built-in disk and ellipse)."""
+    The whole net is one clipped_ball_mass call. Each mass is that of a
+    call for its ball alone, up to how the curve series rounds in batches
+    of another size (not at all on the built-in disk and ellipse)."""
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError(f"net ball radius must be positive and finite, got {rho}")
     curve = pair.curve
@@ -810,7 +780,7 @@ def special_point_search(pair, rho, total=None, n_r=48, n_theta=256):
         raise ValueError("net ball radius must stay below the tube half-width")
     t_net = boundary_net(curve, rho / 2.0)
     pts = curve.point(t_net)
-    masses = clipped_ball_mass(pair, pts, rho, n_r=n_r, n_theta=n_theta, t=t_net)
+    masses = clipped_ball_mass(pair, pts, rho, n_r=n_r, n_theta=n_theta)
     # the first net point within 1e-12 of the largest mass, so round-off
     # cannot pick among masses that tie (the disk's rotational symmetry)
     best = int(np.argmax(masses >= (1.0 - 1e-12) * np.max(masses)))
@@ -851,7 +821,9 @@ class BoundarySolidReport:
 
 def boundary_controls_solid_check(pair, center, r):
     """Boundary mass at radius r/lambda against (lambda/r) times the solid
-    mass at 2r/lambda, recording the empirical doubling-type constant."""
+    mass at 2r/lambda, recording the empirical doubling-type constant. The
+    center lies on the curve, within curve.round_off, as the solid mass
+    (clipped_ball_mass) requires: else ValueError."""
     lam = pair.eigenvalue
     if lam <= 0:
         raise ValueError("requires a positive eigenvalue")
@@ -859,8 +831,7 @@ def boundary_controls_solid_check(pair, center, r):
         raise ValueError("solid ball leaves the tube: shrink r")
     center = np.asarray(center, dtype=float)
     lhs = boundary_mass(pair, center, r / lam)
-    solid = clipped_ball_mass(pair, center, 2 * r / lam)
-    rhs = (lam / r) * solid
+    rhs = (lam / r) * clipped_ball_mass(pair, center, 2 * r / lam)
     return BoundarySolidReport(
         center=center,
         r=float(r),

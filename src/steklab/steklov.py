@@ -17,7 +17,8 @@ a pair without a certificate, u = Re f for the analytic f = u + iv whose
 boundary values follow from the trace (dv/dt = |gamma'| du/dnu), evaluated
 by the barycentric Cauchy formula (Helsing & Ojala, J. Comput. Phys. 227
 (2008)), accurate up to the curve. `evaluate_inside` reads these two with
-no inside test, for points inside by construction such as polar grids;
+no inside test, for points inside by construction (polar grids, the star
+map of the domain mass, the mirror points of the reflected transform);
 `evaluate_many` reads them at points of the closed domain, up to a
 round-off outside the curve, and rejects any other point.
 """
@@ -377,26 +378,23 @@ class SteklovEigenpair:
                 vals[sl] = _horner(fit, _complex(x[sl]), derivative=False).real
         return (vals, grads) if gradient else vals
 
-    def evaluate_many(self, x, t=None, s=None):
+    def evaluate_many(self, x):
         """u and grad u at an array of points of the closed domain: every
         point with a signed offset s <= curve.round_off reads
-        `evaluate_inside`, and any other point raises OutOfDomainError.
-
-        t and s are the points' foot parameters and signed offsets; only s
-        is read. Where s is not given, the points that
-        `BoundaryCurve.surely_inside` leaves in doubt are projected here,
-        in blocks of _EVAL_CHUNK points, so memory stays bounded for any
-        number of points; those it marks inside are not. Callers whose
-        points are inside by construction call `evaluate_inside` directly."""
+        `evaluate_inside`, and any other point raises OutOfDomainError (a
+        non-finite one, ValueError from the projection). Only the points
+        that `BoundaryCurve.surely_inside` leaves in doubt are projected, in
+        blocks of _EVAL_CHUNK points, so memory stays bounded for any number
+        of points. Callers whose points are inside by construction call
+        `evaluate_inside` directly."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if s is None:
-            s = np.full(len(x), -np.inf)  # points marked inside need no foot point
-            for start in range(0, len(x), _EVAL_CHUNK):
-                inside = self.curve.surely_inside(x[start:start + _EVAL_CHUNK])
-                doubt = start + np.flatnonzero(~inside)
-                if len(doubt):
-                    s[doubt] = self.curve.nearest_point_many(x[doubt])[1]
-        if not np.all(np.asarray(s) <= self.curve.round_off):
+        s = np.full(len(x), -np.inf)  # points marked inside need no foot point
+        for start in range(0, len(x), _EVAL_CHUNK):
+            inside = self.curve.surely_inside(x[start:start + _EVAL_CHUNK])
+            doubt = start + np.flatnonzero(~inside)
+            if len(doubt):
+                s[doubt] = self.curve.nearest_point_many(x[doubt])[1]
+        if not np.all(s <= self.curve.round_off):
             raise OutOfDomainError("point outside the curve by more than round-off")
         return self.evaluate_inside(x)
 

@@ -303,23 +303,28 @@ class TestVTransformClosedForm:
             assert calls == [8]
 
     def test_one_evaluation_of_u_per_call(self, transformed, monkeypatch):
-        # the v field hands its tube coordinates to evaluate_many, once, with
-        # every point, so the benchmark tracer counts the v field's points
+        # the v field reads u at its mirror points, inside the curve by
+        # construction, through one evaluate_inside call with every point
+        # and no evaluate_many call
         calls = []
-        evaluate = SteklovEigenpair.evaluate_many
 
-        def recording(self, x, *args, **kwargs):
-            calls.append(len(np.atleast_2d(x)))
-            return evaluate(self, x, *args, **kwargs)
+        def recording(name, method):
+            def wrapped(self, x, *args, **kwargs):
+                calls.append((name, len(np.atleast_2d(x))))
+                return method(self, x, *args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(SteklovEigenpair, "evaluate_many", recording)
+        for name in ("evaluate_many", "evaluate_inside"):
+            monkeypatch.setattr(
+                SteklovEigenpair, name, recording(name, getattr(SteklovEigenpair, name))
+            )
         pair, _, field, _ = transformed
         t = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         x = pair.curve.point(t) + 0.1 * np.where(t < np.pi, 1, -1)[:, None] * (
             pair.curve.normal(t)
         )
         field(x)
-        assert calls == [12]
+        assert calls == [("evaluate_inside", 12)]
 
 
 class TestFrameTraffic:

@@ -335,6 +335,14 @@ class TestCli:
                         "--index", "9", "--rmin", "0.005", "--rmax", "inf") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("mode", ["boundary", "solid"])
+    @pytest.mark.parametrize("center_t", ["nan", "inf"])
+    def test_doubling_non_finite_center_exit_2(self, capsys, mode, center_t):
+        assert self.run("doubling", "--domain", "disk", "--nodes", "128",
+                        "--index", "9", "--mode", mode,
+                        f"--center-t={center_t}") == 2
+        assert "--center-t must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ("solve", "--count", "0", "--nodes", "128"),
         ("nodal", "--index", "-1", "--nodes", "128"),

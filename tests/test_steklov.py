@@ -7,7 +7,6 @@ import scipy.linalg
 
 from steklab import geometry, nodal, steklov
 from steklab.errors import ConditioningError, OutOfDomainError, SolverError
-from steklab.frequency import _polar_integral
 from steklab.steklov import (
     SpectrumSlice,
     build_dtn,
@@ -574,8 +573,7 @@ class TestExtension:
         assert np.max(np.abs(g - g0)) <= 1e-14 * np.max(np.abs(g0))
 
     def test_outside_band_rejected(self, disk_spectrum):
-        # a point beyond the round-off band outside the curve is rejected,
-        # whether evaluate_many projects it or is given its tube coordinates
+        # a point beyond the round-off band outside the curve is rejected
         pair = disk_spectrum[5]
         t = np.array([0.7])
         for s in (1e-9, 0.5):
@@ -584,7 +582,7 @@ class TestExtension:
             with pytest.raises(OutOfDomainError):
                 pair.evaluate(x[0])
             with pytest.raises(OutOfDomainError):
-                pair.evaluate_many(x, t, np.array([s]))
+                pair.evaluate_many(x)
 
     def test_laplace_residual_interior(self, ellipse_spectrum):
         # 5-point FD Laplacian at interior points is near zero
@@ -710,7 +708,7 @@ class TestCertifiedPolynomial:
         e_th = np.stack([-np.sin(th), np.cos(th)], axis=1)
         x = r[:, None] * e_r
         x[2000:] = np.stack([nodes.real, nodes.imag], axis=1)
-        u, g = pair.evaluate_many(x, th, np.minimum(r - 1.0, 0.0))
+        u, g = pair.evaluate_inside(x)
         assert pair._cont["poly"] is None
         f, df = pair.trace_at(th, derivative=True)
         want = r[:, None] ** (k - 1) * (k * f[:, None] * e_r + df[:, None] * e_th)
@@ -741,8 +739,6 @@ class TestCertifiedPolynomial:
             pair.evaluate_many(x)
         _, s, _ = pair.curve.nearest_point_many(x)
         assert s[-1] > pair.curve.round_off
-        with pytest.raises(OutOfDomainError):
-            pair.evaluate_many(x, np.r_[t, t[0]], s)
 
 
 class TestInsideRouting:
@@ -750,10 +746,10 @@ class TestInsideRouting:
     def test_inside_test_keeps_outputs_bit_for_bit(
         self, curve, j, ellipse_spectrum, disk_spectrum, rough_spectrum
     ):
-        # points marked inside skip the projection; the rest are projected
-        # as when t and s come from one projection of every point, whether
-        # the pair reads the polynomial inside or, uncertified, the Cauchy
-        # formula
+        # points marked inside skip the projection, and the rest, each at
+        # most a round-off outside, read evaluate_inside as every point does,
+        # whether the pair reads the polynomial inside or, uncertified, the
+        # Cauchy formula
         spectra = {"ellipse": ellipse_spectrum, "disk": disk_spectrum}
         pair = spectra.get(curve, rough_spectrum)[j]
         assert (pair._poly() is None) == (curve == "rough")
@@ -768,10 +764,11 @@ class TestInsideRouting:
             interior_points(pair.curve, 0.05, 3000, j), f.point + off[:, None] * f.nu
         ])
         x = x[rng.permutation(len(x))]  # both sides in every block
-        t, s, _ = pair.curve.nearest_point_many(x)
-        assert np.any(s > 0) and len(x) > steklov._EVAL_CHUNK
+        _, s, _ = pair.curve.nearest_point_many(x)
+        assert np.any(s > 0) and np.all(s <= pair.curve.round_off)
+        assert len(x) > steklov._EVAL_CHUNK
         u, g = pair.evaluate_many(x)
-        ref_u, ref_g = pair.evaluate_many(x, t, s)
+        ref_u, ref_g = pair.evaluate_inside(x)
         assert np.array_equal(u, ref_u) and np.array_equal(g, ref_g)
 
     @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("rough", 7)])
@@ -779,21 +776,17 @@ class TestInsideRouting:
         self, curve, j, ellipse_spectrum, rough_spectrum
     ):
         # points at most curve.round_off outside the curve read the interior
-        # evaluator bit for bit, projected or given t and s; an offset of
-        # exactly round_off is accepted
+        # evaluator bit for bit
         pair = {"ellipse": ellipse_spectrum, "rough": rough_spectrum}[curve][j]
         tol = pair.curve.round_off
         rng = np.random.default_rng(j)
         f = pair.curve.frame(rng.uniform(0.0, 2 * np.pi, 200))
         x = f.point + rng.uniform(0.0, 0.5 * tol, 200)[:, None] * f.nu
-        t, s, _ = pair.curve.nearest_point_many(x)
+        _, s, _ = pair.curve.nearest_point_many(x)
         assert np.any(s > 0) and np.all(s <= tol)
         ref_u, ref_g = pair.evaluate_inside(x)
-        for got in (
-            pair.evaluate_many(x), pair.evaluate_many(x, t, s),
-            pair.evaluate_many(x, t, np.full(len(x), tol)),
-        ):
-            assert np.array_equal(got[0], ref_u) and np.array_equal(got[1], ref_g)
+        got = pair.evaluate_many(x)
+        assert np.array_equal(got[0], ref_u) and np.array_equal(got[1], ref_g)
 
     @staticmethod
     def projected_by_domain_mass(pair, monkeypatch):
@@ -825,8 +818,9 @@ class TestInsideRouting:
     def test_polar_masses_skip_the_inside_test(
         self, ellipse_spectrum, rough_spectrum, monkeypatch
     ):
-        # polar-grid points are inside by construction: no inside test, and
-        # only interior_sup_bound_check's one projection of its center
+        # polar-grid and star-map points are inside by construction: no
+        # inside test, one projection of the clipped ball's center, and
+        # interior_sup_bound_check's one projection of its center
         calls = []
         surely_inside = geometry.BoundaryCurve.surely_inside
         nearest = geometry.BoundaryCurve.nearest_point_many
@@ -845,59 +839,58 @@ class TestInsideRouting:
             center = pair.curve.point(np.array([0.7]))[0]
             nodal.clipped_ball_mass(pair, center, 0.1, n_r=20, n_theta=96)
             nodal.domain_mass(pair)
-            assert calls == []
+            assert calls == [("nearest_point_many", 1)]
+            calls.clear()
             interior_sup_bound_check(pair, (0.1, 0.05), 0.4)
             assert calls == [("nearest_point_many", 1)]
             calls.clear()
 
     @staticmethod
     def through_evaluate_many(pair, monkeypatch, mass, *args, **kw):
-        """mass(pair, *args, **kw), and its polar quadrature with u read
-        through evaluate_many in place of evaluate_inside."""
-        grids = []
+        """The values that mass(pair, *args, **kw) reads from
+        evaluate_inside, call by call, and those that evaluate_many, which
+        tests every point's side, reads at the same points."""
+        calls = []
+        inside = pair.evaluate_inside
 
-        def recording(integrand, *grid):
-            grids.append(grid)
-            return _polar_integral(integrand, *grid)
+        def recording(p, gradient=True):
+            calls.append((p, inside(p, gradient=gradient)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(nodal, "_polar_integral", recording)
-        got = mass(pair, *args, **kw)
-        ref = _polar_integral(lambda p: pair.evaluate_many(p)[0] ** 2, *grids[0])
-        return got, ref
+        with monkeypatch.context() as m:
+            m.setattr(pair, "evaluate_inside", recording)
+            mass(pair, *args, **kw)
+        got = np.concatenate([u for _, u in calls])
+        return got, np.concatenate([pair.evaluate_many(p)[0] for p, _ in calls])
 
     @pytest.mark.parametrize("curve,j", [("ellipse", 7), ("disk", 9)])
     def test_certified_polar_masses_match_evaluate_many(
         self, curve, j, ellipse_spectrum, disk_spectrum, monkeypatch
     ):
         # the net clipped balls of special_point_search and the domain mass
-        # are bit-identical to the inside-tested route
+        # read, bit for bit, what the inside-tested route reads
         pair = {"ellipse": ellipse_spectrum, "disk": disk_spectrum}[curve][j]
         assert pair._poly() is not None
-        for p in pair.curve.point(nodal.boundary_net(pair.curve, 0.15)):
-            got, ref = self.through_evaluate_many(
-                pair, monkeypatch, nodal.clipped_ball_mass, p, 0.3, n_r=20, n_theta=96
-            )
-            assert got == ref
-        got, ref = self.through_evaluate_many(pair, monkeypatch, nodal.domain_mass)
-        assert got == ref
+        centers = pair.curve.point(nodal.boundary_net(pair.curve, 0.15))
+        for mass, args in [(nodal.clipped_ball_mass, (centers, 0.3, 20, 96)),
+                           (nodal.domain_mass, ())]:
+            got, ref = self.through_evaluate_many(pair, monkeypatch, mass, *args)
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("j", [7, 20])
     def test_uncertified_polar_masses_match_evaluate_many(
         self, j, rough_spectrum, monkeypatch
     ):
         # balls centred on the curve have near-tangent rays, whose Gauss
-        # points may lie a round-off outside: the Cauchy formula read there
-        # matches the inside-tested route to 1e-12
+        # points may lie a round-off outside: the inside-tested route
+        # accepts them and reads the Cauchy formula there too
         pair = rough_spectrum[j]
         assert pair._poly() is None
-        t = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
-        for p in pair.curve.point(t):
-            got, ref = self.through_evaluate_many(
-                pair, monkeypatch, nodal.clipped_ball_mass, p, 0.1
-            )
-            assert got == pytest.approx(ref, rel=1e-12, abs=0)
-        got, ref = self.through_evaluate_many(pair, monkeypatch, nodal.domain_mass)
-        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        centers = pair.curve.point(np.linspace(0.0, 2 * np.pi, 12, endpoint=False))
+        for mass, args in [(nodal.clipped_ball_mass, (centers, 0.1)),
+                           (nodal.domain_mass, ())]:
+            got, ref = self.through_evaluate_many(pair, monkeypatch, mass, *args)
+            assert np.array_equal(got, ref)
 
     def test_value_only_horner_is_bit_identical(self, ellipse_spectrum):
         fit = ellipse_spectrum[7]._poly()

@@ -9,13 +9,12 @@ pair, it times for pairs 7 and 40, with BLAS pinned to one thread unless
 ``OPENBLAS_NUM_THREADS`` is set:
 
 - ``evaluate_many`` per point on 20,000 seeded points of the domain, found
-  by projection, without t and s, as its callers pass them (best of 5, with
-  every per-pair table already built);
+  by projection (best of 5, with every per-pair table already built);
 - one ``nodal.special_point_search(pair, 0.1, n_r=20, n_theta=96)``: its
   clipped balls are centred on the curve and read the Cauchy formula
   through ``evaluate_inside``, with no inside test;
 - the points that ``nodal.domain_mass`` sends to ``nearest_point_many``:
-  none, as its polar grid is inside by construction.
+  none, as its star map is inside by construction.
 
 ``--src`` selects the ``steklab`` sources to time (default: this tree's), so
 one copy of the script measures two trees alike.
